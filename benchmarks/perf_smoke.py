@@ -126,7 +126,8 @@ def measure_obs_overhead():
     * ``sampling`` — ``stats`` plus the telemetry sampler, so
       ``sampling_vs_stats`` is the sampler's *marginal* cost (the < 5 %
       acceptance bar);
-    * ``full`` — everything, including the batch event tracer.
+    * ``full`` — everything, including the event store (``trace=True``:
+      the one ``Tracer`` is the aggregator plus stored events).
     """
     modes = {
         "off": dict(stats=False),

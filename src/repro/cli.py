@@ -7,18 +7,15 @@ Usage (any artefact, directly from a shell)::
     python -m repro fig3   [--pes 16 ...] [--latencies 0 4 32] [--steps N]
     python -m repro fig4   [--pes 2 32] [--latencies 1 32 256] [--steps N]
     python -m repro demo   [--json]
-    python -m repro trace  [--app stencil|leanmd] [--out run.trace.json]
-                           [--events-out run.events.jsonl] [--json]
-    python -m repro critpath [--app stencil|leanmd] [--latency MS]
-                             [--grid MS ...] [--per-step] [--json]
-    python -m repro health [--app stencil|leanmd] [--latency MS]
-                           [--loss P] [--budget F] [--json] [--out PATH]
-    python -m repro netview [--latency MS] [--routing flat|hierarchical]
-                            [--streams N] [--top K] [--json]
-                            [--trace-out PATH]
-    python -m repro objview [--app stencil|leanmd] [--latency MS]
-                            [--top K] [--json] [--trace-out PATH]
-                            [--ledger-out PATH]
+    python -m repro inspect --view {trace,critpath,health,netview,objview}
+                            [--app stencil|leanmd] [--pes N] [--objects N]
+                            [--mesh N] [--latency MS] [--steps N]
+                            [--loss P] [--routing flat|hierarchical]
+                            [--streams N] [--top K] [--grid MS ...]
+                            [--tolerance F] [--per-step] [--interval MS]
+                            [--budget F] [--trace-out PATH]
+                            [--events-out PATH] [--health-out PATH]
+                            [--ledger-out PATH] [--json]
     python -m repro sweep {fig3,fig3c,fig4,table1,table2} [--jobs N]
                           [--no-cache] [--cache-dir DIR]
                           [--stats-out PATH] [--steps N] [...subset flags]
@@ -28,37 +25,37 @@ Usage (any artefact, directly from a shell)::
                             [--trace-out PATH] [--threshold F]
 
 The full default sweeps take a few minutes; the subsetting flags let
-you reproduce a single panel or row in seconds.  ``repro trace`` runs
-one traced configuration and prints the latency-masking report
-(utilization, comm/compute, masked-latency fraction); ``--out`` exports
-a Chrome trace-event file for chrome://tracing / Perfetto.  ``repro
-critpath`` runs one traced configuration, attributes each step's wall
-time along the causal critical path (compute / WAN in-flight / queueing
-/ retransmit stall) and predicts the Figure-3 knee from that single
-run.  ``repro health`` runs one configuration with the fixed-memory
-telemetry sampler and rule-based watchdog enabled, then prints the
-health digest (sparklines, fired alerts, observability overhead);
-``--out`` appends the structured health events as JSON lines.  ``repro
-bench-diff`` compares two perf-trajectory records and
-exits non-zero on a >10 % step-time regression; when both records are
-schema-2 ledger records it also prints the per-component critical-path
-diff.  ``repro compare`` is the full differential view: given two
-ledger records (by index into a trajectory file, or as standalone
-files), it attributes the step-time delta to critical-path components
-exactly, diffs the wall-clock phase profiles and net roll-ups, and can
-write a side-by-side Chrome trace; ``repro critpath`` and ``repro
-netview`` grow ``--ledger-out PATH`` to emit those records (with the
-self-profiler enabled for the run).  ``repro objview`` is the
-Projections-style object view: per-chare compute/grain/traffic
-profiles, the object×object communication matrix, per-object
-critical-path blame, and the decomposition advisor's split / merge /
-migrate suggestions ranked by predicted savings.  ``repro sweep`` runs
-any artefact's configurations through the parallel executor — ``--jobs
-N`` fans out over N worker processes, the content-addressed run cache
-skips configurations already computed, and the rendered artefact is
-bit-identical to a serial run for any worker count.  The table and figure
-commands stay text-only, matching the paper's artefacts; ``demo``,
-``trace`` and ``critpath`` take ``--json`` for machine-readable output.
+you reproduce a single panel or row in seconds.  ``repro inspect`` runs
+one configuration and renders one view of it: ``trace`` prints the
+latency-masking report (utilization, comm/compute, masked-latency
+fraction); ``critpath`` attributes each step's wall time along the
+causal critical path (compute / WAN in-flight / queueing / retransmit
+stall) and predicts the Figure-3 knee from that single run; ``health``
+runs with the fixed-memory telemetry sampler and rule-based watchdog
+and prints the health digest (sparklines, fired alerts, observability
+overhead); ``netview`` is the network flight recorder (per-link
+utilization, queue depths, top wire-time messages); ``objview`` is the
+Projections-style object view (per-chare profiles, the object×object
+communication matrix, per-object critical-path blame and the
+decomposition advisor's split / merge / migrate suggestions).  Every
+view takes the same flags: ``--trace-out`` writes a Chrome trace,
+``--events-out`` a JSON-lines event log, ``--health-out`` appends the
+structured health events, and ``--ledger-out`` appends a schema-2 run
+ledger record (with the self-profiler enabled for the run).  ``repro
+bench-diff`` compares two perf-trajectory records and exits non-zero on
+a >10 % step-time regression; when both records are schema-2 ledger
+records it also prints the per-component critical-path diff.  ``repro
+compare`` is the full differential view: given two ledger records (by
+index into a trajectory file, or as standalone files), it attributes
+the step-time delta to critical-path components exactly, diffs the
+wall-clock phase profiles and net roll-ups, and can write a
+side-by-side Chrome trace.  ``repro sweep`` runs any artefact's
+configurations through the parallel executor — ``--jobs N`` fans out
+over N worker processes, the content-addressed run cache skips
+configurations already computed, and the rendered artefact is
+bit-identical to a serial run for any worker count.  The table and
+figure commands stay text-only, matching the paper's artefacts;
+``demo`` and ``inspect`` take ``--json`` for machine-readable output.
 """
 
 from __future__ import annotations
@@ -104,45 +101,31 @@ def _parse_rows(values: Sequence[str]) -> Tuple[Tuple[int, int], ...]:
     return tuple(rows)
 
 
-def _add_output_options(p, *, trace_flag: str = "--trace-out",
-                        trace_help: str = "write Chrome trace-event JSON "
-                        "here (open in chrome://tracing or Perfetto)",
-                        ledger: bool = False,
-                        json_help: str = "print the report as JSON "
-                        "instead of text") -> None:
-    """Shared output plumbing for the one-run subcommands.
-
-    Registers the Chrome-trace path (``--out`` or ``--trace-out``,
-    whichever the command historically used — both land in
-    ``args.trace_out``), the optional ``--ledger-out`` run-ledger path,
-    and ``--json``, so every subcommand's output surface shares one
-    dest naming and one help voice.
-    """
-    p.add_argument(trace_flag, dest="trace_out", default=None,
-                   metavar="PATH", help=trace_help)
-    if ledger:
-        p.add_argument("--ledger-out", default=None, metavar="PATH",
-                       help="append a schema-2 run-ledger record (full "
-                            "critpath decomposition + wall-clock profile "
-                            "+ per-object blame) here for 'repro "
-                            "compare'; enables the self-profiler for "
-                            "the run")
-    p.add_argument("--json", action="store_true", help=json_help)
+#: The views ``repro inspect`` renders; each fills one report section.
+VIEWS = ("trace", "critpath", "health", "netview", "objview")
 
 
 def _validate_run(args) -> None:
-    """Common sanity checks for the one-run subcommands."""
+    """Sanity checks for ``repro inspect`` flags."""
     if args.pes < 2 or args.pes % 2:
         raise SystemExit(f"--pes must be even and >= 2, got {args.pes}")
     if args.latency < 0:
         raise SystemExit(f"--latency must be >= 0, got {args.latency}")
+    if not (0.0 <= args.loss < 1.0):
+        raise SystemExit(f"--loss must be in [0, 1), got {args.loss}")
+    if args.interval <= 0:
+        raise SystemExit(f"--interval must be > 0, got {args.interval}")
+    if args.streams < 0:
+        raise SystemExit(f"--streams must be >= 0, got {args.streams}")
+    if args.top < 1:
+        raise SystemExit(f"--top must be >= 1, got {args.top}")
 
 
-def _write_chrome_trace(env, path, report, health_events=None) -> None:
+def _write_chrome_trace(env, path, report) -> None:
     """Validate and write the run's Chrome trace; note it in the report."""
     from repro.obs.export import chrome_trace, validate_chrome_trace
 
-    doc = chrome_trace(env.tracer, health_events)
+    doc = chrome_trace(env.tracer, env.health_events)
     validate_chrome_trace(doc)
     with open(path, "w") as fh:
         json.dump(doc, fh)
@@ -182,115 +165,70 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--json", action="store_true",
                       help="machine-readable output (one row per run)")
 
-    tr = sub.add_parser("trace", help="run one traced configuration and "
-                        "report overlap / export a Chrome trace")
-    tr.add_argument("--app", choices=("stencil", "leanmd"),
-                    default="stencil")
-    tr.add_argument("--pes", type=int, default=8)
-    tr.add_argument("--objects", type=int, default=64,
-                    help="virtualization degree (stencil only)")
-    tr.add_argument("--mesh", type=int, default=1024, metavar="N",
-                    help="stencil mesh edge (NxN; Figure 3 uses 2048)")
-    tr.add_argument("--latency", type=float, default=8.0,
-                    help="one-way WAN latency in ms")
-    tr.add_argument("--steps", type=int, default=10)
-    tr.add_argument("--events-out", default=None, metavar="PATH",
-                    help="write a JSON-lines structured event log here")
-    _add_output_options(tr, trace_flag="--out")
-
-    cp = sub.add_parser("critpath", help="critical-path attribution and "
-                        "knee prediction from one traced run")
-    cp.add_argument("--app", choices=("stencil", "leanmd"),
-                    default="stencil")
-    cp.add_argument("--pes", type=int, default=8)
-    cp.add_argument("--objects", type=int, default=64,
-                    help="virtualization degree (stencil only)")
-    cp.add_argument("--mesh", type=int, default=1024, metavar="N",
-                    help="stencil mesh edge (NxN; Figure 3 uses 2048)")
-    cp.add_argument("--latency", type=float, default=0.0,
-                    help="one-way WAN latency of the traced run (ms); "
-                         "the knee is predicted from this single run")
-    cp.add_argument("--steps", type=int, default=10)
-    cp.add_argument("--grid", nargs="+", type=float, default=None,
-                    metavar="MS", help="hypothetical one-way latencies to "
-                    "sweep in the what-if replay (default: Figure 3's)")
-    cp.add_argument("--tolerance", type=float, default=1.5,
-                    help="knee tolerance: largest latency with predicted "
-                         "T(L) <= tolerance x baseline (default 1.5)")
-    cp.add_argument("--per-step", action="store_true",
-                    help="print the per-step attribution table too")
-    _add_output_options(cp, trace_flag="--out",
-                        trace_help="write the Chrome trace (with causal "
-                                   "flow events) here",
-                        ledger=True)
-
-    hl = sub.add_parser("health", help="run one configuration with "
-                        "telemetry + watchdog and print the health digest")
-    hl.add_argument("--app", choices=("stencil", "leanmd"),
-                    default="stencil")
-    hl.add_argument("--pes", type=int, default=8)
-    hl.add_argument("--objects", type=int, default=64,
-                    help="virtualization degree (stencil only)")
-    hl.add_argument("--mesh", type=int, default=512, metavar="N",
-                    help="stencil mesh edge (NxN)")
-    hl.add_argument("--latency", type=float, default=8.0,
-                    help="one-way WAN latency in ms")
-    hl.add_argument("--steps", type=int, default=8)
-    hl.add_argument("--loss", type=float, default=0.0,
-                    help="WAN loss probability; > 0 switches to the "
-                         "lossy-WAN environment with the reliable "
-                         "transport (retransmit-storm territory)")
-    hl.add_argument("--interval", type=float, default=1.0,
-                    help="sampling interval in virtual ms")
-    hl.add_argument("--budget", type=float, default=None,
-                    help="observability overhead budget as a wall-time "
-                         "fraction; over budget, the governor degrades "
-                         "full tracing -> sampling -> counters")
-    hl.add_argument("--out", default=None, metavar="PATH",
-                    help="append structured health events here (JSONL)")
-    _add_output_options(hl, trace_help="write a Chrome trace with "
-                        "health-event markers here (enables full tracing)")
-
-    nv = sub.add_parser("netview", help="network flight recorder: per-link "
-                        "utilization, queue depths and top wire-time "
-                        "messages from one traced run")
-    nv.add_argument("--pes", type=int, default=8)
-    nv.add_argument("--objects", type=int, default=64,
-                    help="virtualization degree")
-    nv.add_argument("--mesh", type=int, default=1024, metavar="N",
-                    help="stencil mesh edge (NxN; Figure 3 uses 2048)")
-    nv.add_argument("--latency", type=float, default=8.0,
-                    help="one-way WAN latency in ms")
-    nv.add_argument("--steps", type=int, default=10)
-    nv.add_argument("--routing", choices=("flat", "hierarchical"),
-                    default=None,
-                    help="collective downward routing (default: config's)")
-    nv.add_argument("--streams", type=int, default=0, metavar="N",
-                    help="stripe the WAN across N parallel streams "
-                         "(0 = no striping)")
-    nv.add_argument("--top", type=int, default=10, metavar="K",
-                    help="how many top-wire-time messages to list")
-    _add_output_options(nv, trace_help="write a Chrome trace with one "
-                        "lane per WAN link/stream here", ledger=True)
-
-    ov = sub.add_parser("objview", help="Projections-style object view: "
-                        "per-chare profiles, comm matrix, grain "
-                        "analysis, blame and the decomposition advisor")
-    ov.add_argument("--app", choices=("stencil", "leanmd"),
-                    default="stencil")
-    ov.add_argument("--pes", type=int, default=8)
-    ov.add_argument("--objects", type=int, default=64,
-                    help="virtualization degree (stencil only)")
-    ov.add_argument("--mesh", type=int, default=1024, metavar="N",
-                    help="stencil mesh edge (NxN; Figure 3 uses 2048)")
-    ov.add_argument("--latency", type=float, default=8.0,
-                    help="one-way WAN latency in ms")
-    ov.add_argument("--steps", type=int, default=10)
-    ov.add_argument("--top", type=int, default=10, metavar="K",
-                    help="objects listed in each table")
-    _add_output_options(ov, trace_help="write a Chrome trace with one "
-                        "lane per object and comm-matrix counters here",
-                        ledger=True)
+    ins = sub.add_parser("inspect", help="run one configuration and "
+                         "render one view of it (trace, critpath, health, "
+                         "netview or objview)")
+    ins.add_argument("--view", choices=VIEWS, required=True,
+                     help="which report section to fill: the masking "
+                          "report alone (trace), critical-path "
+                          "attribution and knee (critpath), telemetry and "
+                          "watchdog (health), network flight recorder "
+                          "(netview) or object view and advisor (objview)")
+    ins.add_argument("--app", choices=("stencil", "leanmd"),
+                     default="stencil")
+    ins.add_argument("--pes", type=int, default=8)
+    ins.add_argument("--objects", type=int, default=64,
+                     help="virtualization degree (stencil only)")
+    ins.add_argument("--mesh", type=int, default=1024, metavar="N",
+                     help="stencil mesh edge (NxN; Figure 3 uses 2048)")
+    ins.add_argument("--latency", type=float, default=8.0,
+                     help="one-way WAN latency in ms")
+    ins.add_argument("--steps", type=int, default=10)
+    ins.add_argument("--loss", type=float, default=0.0,
+                     help="WAN loss probability; > 0 switches to the "
+                          "lossy-WAN environment with the reliable "
+                          "transport (retransmit-storm territory)")
+    ins.add_argument("--routing", choices=("flat", "hierarchical"),
+                     default=None,
+                     help="collective downward routing (default: config's)")
+    ins.add_argument("--streams", type=int, default=0, metavar="N",
+                     help="stripe the WAN across N parallel streams "
+                          "(0 = no striping)")
+    ins.add_argument("--top", type=int, default=10, metavar="K",
+                     help="rows listed per table (netview: top wire-time "
+                          "messages; objview: objects)")
+    ins.add_argument("--grid", nargs="+", type=float, default=None,
+                     metavar="MS", help="critpath: hypothetical one-way "
+                     "latencies to sweep in the what-if replay (default: "
+                     "Figure 3's)")
+    ins.add_argument("--tolerance", type=float, default=1.5,
+                     help="critpath knee tolerance: largest latency with "
+                          "predicted T(L) <= tolerance x baseline "
+                          "(default 1.5)")
+    ins.add_argument("--per-step", action="store_true",
+                     help="also print the per-step critical-path "
+                          "attribution table")
+    ins.add_argument("--interval", type=float, default=1.0,
+                     help="health: sampling interval in virtual ms")
+    ins.add_argument("--budget", type=float, default=None,
+                     help="health: observability overhead budget as a "
+                          "wall-time fraction; over budget, the governor "
+                          "degrades full tracing -> sampling -> counters")
+    ins.add_argument("--trace-out", default=None, metavar="PATH",
+                     help="write a Chrome trace (causal flows, network "
+                          "lanes, per-object lanes, health markers) here; "
+                          "open in chrome://tracing or Perfetto")
+    ins.add_argument("--events-out", default=None, metavar="PATH",
+                     help="write a JSON-lines structured event log here")
+    ins.add_argument("--health-out", default=None, metavar="PATH",
+                     help="append structured health events here (JSONL)")
+    ins.add_argument("--ledger-out", default=None, metavar="PATH",
+                     help="append a schema-2 run-ledger record (full "
+                          "critpath decomposition + wall-clock profile "
+                          "+ per-object blame) here for 'repro compare'; "
+                          "enables the self-profiler for the run")
+    ins.add_argument("--json", action="store_true",
+                     help="print the report as JSON instead of text")
 
     sw = sub.add_parser("sweep", help="run a paper sweep through the "
                         "parallel executor with the run cache")
@@ -353,11 +291,11 @@ def build_parser() -> argparse.ArgumentParser:
     cm.add_argument("--threshold", type=float, default=None,
                     help="neutral band as a fraction of the baseline's "
                          "total step time (default 0.02)")
-    _add_output_options(cm, trace_help="write a side-by-side Chrome "
-                        "trace (one process per run, critpath slices) "
-                        "here",
-                        json_help="print the comparison as JSON instead "
-                                  "of text")
+    cm.add_argument("--trace-out", default=None, metavar="PATH",
+                    help="write a side-by-side Chrome trace (one process "
+                         "per run, critpath slices) here")
+    cm.add_argument("--json", action="store_true",
+                    help="print the comparison as JSON instead of text")
     return parser
 
 
@@ -432,61 +370,9 @@ def cmd_demo(args, out) -> None:
               "16/PE.", file=out)
 
 
-def cmd_trace(args, out) -> None:
-    from repro.grid import artificial_latency_env
-    from repro.obs.export import write_event_log
-    from repro.obs.report import build_report
-    from repro.units import ms
-
-    _validate_run(args)
-    want_events = (args.trace_out is not None
-                   or args.events_out is not None)
-    env = artificial_latency_env(args.pes, ms(args.latency),
-                                 trace=want_events)
-    if args.app == "stencil":
-        from repro.apps.stencil import StencilApp
-        app = StencilApp(env, mesh=(args.mesh, args.mesh),
-                         objects=args.objects, payload="modeled")
-        app.run(args.steps)
-    else:
-        from repro.apps.leanmd import LeanMDApp
-        app = LeanMDApp(env, cells=(4, 4, 4), atoms_per_cell=16,
-                        payload="modeled")
-        app.run(args.steps)
-
-    report = build_report(env.aggregator)
-    report.extra["app"] = args.app
-    report.extra["pes"] = args.pes
-    report.extra["latency_ms"] = args.latency
-    report.extra["steps"] = args.steps
-    if args.trace_out is not None:
-        _write_chrome_trace(env, args.trace_out, report)
-    if args.events_out is not None:
-        lines = write_event_log(env.tracer, args.events_out)
-        report.extra["event_log"] = args.events_out
-        report.extra["event_log_lines"] = lines
-
-    if args.json:
-        json.dump(report.to_dict(), out, indent=2)
-        print(file=out)
-    else:
-        print(f"{args.app}: {args.pes} PEs, {args.objects} objects, "
-              f"{args.latency:g} ms one-way WAN, {args.steps} steps",
-              file=out)
-        print(file=out)
-        print(report.render(), file=out)
-        if args.trace_out is not None:
-            print(f"\nChrome trace written to {args.trace_out} "
-                  "(open in chrome://tracing or https://ui.perfetto.dev)",
-                  file=out)
-        if args.events_out is not None:
-            print(f"Event log written to {args.events_out} "
-                  f"({report.extra['event_log_lines']} records)", file=out)
-
-
-def _emit_ledger(args, experiment: str, result, env, steps_attribution,
-                 path: str, objects_blame=None) -> None:
-    """Append one schema-2 ledger record for a CLI run to *path*.
+def _emit_ledger(args, result, env, steps_attribution, path: str,
+                 objects_blame=None) -> None:
+    """Append one schema-2 ledger record for an inspected run to *path*.
 
     The record also lands content-addressed under ``.repro-cache/``
     (same fanout as the run cache).  Dedup is off: A/B ledger files
@@ -495,72 +381,136 @@ def _emit_ledger(args, experiment: str, result, env, steps_attribution,
     """
     from repro.obs.ledger import append_ledger, build_run_record
 
-    app = getattr(args, "app", "stencil")
     config = {
-        "experiment": experiment, "app": app,
-        "environment": "artificial", "pes": args.pes,
-        "objects": getattr(args, "objects", None),
+        "experiment": args.view, "app": args.app,
+        "environment": "lossy" if args.loss > 0 else "artificial",
+        "pes": args.pes, "objects": args.objects,
         "latency_ms": args.latency, "steps": args.steps,
     }
-    for key in ("mesh", "routing", "streams"):
-        value = getattr(args, key, None)
+    for key in ("mesh", "routing", "streams", "loss"):
+        value = getattr(args, key)
         if value:
             config[key] = value
     record = build_run_record(
-        name=f"{experiment}:{app}:{args.pes}x"
-             f"{getattr(args, 'objects', 0)}@{args.latency:g}ms",
+        name=f"{args.view}:{args.app}:{args.pes}x{args.objects}"
+             f"@{args.latency:g}ms",
         config=config, result=result, env=env,
         steps_attribution=steps_attribution, objects_blame=objects_blame)
     append_ledger(record, path, cache_root=".repro-cache")
 
 
-def cmd_critpath(args, out) -> None:
-    from repro.grid import artificial_latency_env
+def cmd_inspect(args, out) -> None:
+    from repro.grid import artificial_latency_env, lossy_wan_env
     from repro.obs.critpath import (
         CausalGraph,
+        per_object_blame,
         per_step_attribution,
         predict_knee,
         render_attribution,
         summarize_attribution,
     )
-    from repro.obs.report import build_report
+    from repro.obs.export import write_event_log
+    from repro.obs.objview import ObjectView, recommend_decomposition
+    from repro.obs.report import (
+        build_report,
+        health_section,
+        netview_section,
+        objview_section,
+    )
+    from repro.obs.timeseries import SamplingPolicy
     from repro.units import ms
 
     _validate_run(args)
-    env = artificial_latency_env(args.pes, ms(args.latency), trace=True,
-                                 profile=args.ledger_out is not None)
+    view = args.view
+    # Views and outputs that read causal spans need the critical-path
+    # attribution; it and every stored-event output need full tracing.
+    causal = (view in ("critpath", "objview") or args.per_step
+              or args.ledger_out is not None)
+    trace = (causal or view == "netview" or args.trace_out is not None
+             or args.events_out is not None)
+    health = view == "health"
+    options = dict(
+        routing=args.routing, wan_streams=args.streams, trace=trace,
+        sampling=SamplingPolicy(interval=ms(args.interval),
+                                overhead_budget=args.budget)
+        if health else None,
+        health=health, profile=args.ledger_out is not None)
+    if args.loss > 0:
+        env = lossy_wan_env(args.pes, ms(args.latency), loss=args.loss,
+                            **options)
+    else:
+        env = artificial_latency_env(args.pes, ms(args.latency), **options)
     t0 = env.now
     if args.app == "stencil":
         from repro.apps.stencil import StencilApp
         app = StencilApp(env, mesh=(args.mesh, args.mesh),
                          objects=args.objects, payload="modeled")
-        result = app.run(args.steps)
     else:
         from repro.apps.leanmd import LeanMDApp
         app = LeanMDApp(env, cells=(4, 4, 4), atoms_per_cell=16,
                         payload="modeled")
-        result = app.run(args.steps)
-
-    graph = CausalGraph.from_tracer(env.tracer)
-    boundaries = [t0] + [t0 + float(t) for t in result.step_times]
-    steps = per_step_attribution(graph, boundaries)
-    summary = summarize_attribution(steps, warmup=result.warmup)
-    grid_ms = args.grid if args.grid else list(FIG3_LATENCIES_MS)
-    knee = predict_knee(graph, boundaries, ms(args.latency),
-                        [ms(x) for x in grid_ms],
-                        tolerance=args.tolerance, warmup=result.warmup)
+    result = app.run(args.steps)
 
     report = build_report(env.aggregator)
-    report.critpath = {**summary, "knee": knee.to_dict()}
-    report.extra["app"] = args.app
-    report.extra["pes"] = args.pes
-    report.extra["latency_ms"] = args.latency
-    report.extra["steps"] = args.steps
+    steps = blame = None
+    if causal:
+        graph = CausalGraph.from_tracer(env.tracer)
+        boundaries = [t0] + [t0 + float(t) for t in result.step_times]
+        steps = per_step_attribution(graph, boundaries)
+    if view == "critpath":
+        grid_ms = args.grid if args.grid else list(FIG3_LATENCIES_MS)
+        knee = predict_knee(graph, boundaries, ms(args.latency),
+                            [ms(x) for x in grid_ms],
+                            tolerance=args.tolerance, warmup=result.warmup)
+        report.critpath = {**summarize_attribution(steps,
+                                                   warmup=result.warmup),
+                           "knee": knee.to_dict()}
+    elif view == "health":
+        report.health = health_section(env.health_events, env.governor)
+        report.timeseries = env.sampler.summary()
+    elif view == "netview":
+        report.net = netview_section(env.tracer, top=args.top)
+    elif view == "objview":
+        blame = per_object_blame(
+            [seg for att in steps for seg in att.segments])
+        objects = ObjectView.from_source(env.aggregator)
+        advice = recommend_decomposition(
+            objects, ms(args.latency),
+            overhead_s=env.runtime.config.scheduler_overhead,
+            num_pes=args.pes, steps=args.steps, blame=blame)
+        report.objects = objview_section(objects, top=args.top,
+                                         blame=blame, advice=advice)
+
+    extra = report.extra
+    extra["app"] = args.app
+    extra["pes"] = args.pes
+    if view in ("health", "netview"):
+        # Only these views have always echoed the degree (objview's own
+        # section is named "objects"); kept so their JSON is unchanged.
+        extra["objects"] = args.objects
+    extra["latency_ms"] = args.latency
+    extra["steps"] = args.steps
+    if args.loss > 0:
+        extra["loss"] = args.loss
+    if args.routing is not None:
+        extra["routing"] = args.routing
+    if args.streams:
+        extra["wan_streams"] = args.streams
+    if args.health_out is not None:
+        with open(args.health_out, "a") as fh:
+            for event in env.health_events:
+                fh.write(json.dumps(event.to_dict()) + "\n")
+        extra["events_out"] = args.health_out
     if args.trace_out is not None:
         _write_chrome_trace(env, args.trace_out, report)
+    if args.events_out is not None:
+        extra["event_log"] = args.events_out
+        extra["event_log_lines"] = write_event_log(env.tracer,
+                                                   args.events_out)
     if args.ledger_out is not None:
-        _emit_ledger(args, "critpath", result, env, steps, args.ledger_out)
-        report.extra["ledger"] = args.ledger_out
+        _emit_ledger(args, result, env, steps, args.ledger_out,
+                     objects_blame=blame)
+        extra["ledger"] = args.ledger_out
 
     if args.json:
         doc = report.to_dict()
@@ -570,236 +520,59 @@ def cmd_critpath(args, out) -> None:
         print(file=out)
         return
     print(f"{args.app}: {args.pes} PEs, {args.objects} objects, "
-          f"{args.latency:g} ms one-way WAN, {args.steps} steps",
-          file=out)
-    print(file=out)
-    print(report.render(), file=out)
-    if args.per_step:
-        print(file=out)
-        print(render_attribution(steps, warmup=result.warmup), file=out)
-    print(file=out)
-    pairs = "  ".join(
-        f"{lat * 1e3:g}ms->{t * 1e3:.2f}"
-        for lat, t in zip(knee.grid_s, knee.predicted_step_s))
-    print(f"predicted T(L) ms/step: {pairs}", file=out)
-    print(f"predicted knee: {knee.knee_s * 1e3:g} ms "
-          f"(largest L with T(L) <= {knee.tolerance:g}x baseline)",
-          file=out)
-    if args.trace_out is not None:
-        print(f"Chrome trace (with causal flows) written to "
-              f"{args.trace_out}", file=out)
-
-
-def cmd_health(args, out) -> None:
-    from repro.grid import artificial_latency_env, lossy_wan_env
-    from repro.obs.report import build_report, health_section
-    from repro.obs.timeseries import SamplingPolicy
-    from repro.units import ms
-
-    _validate_run(args)
-    if not (0.0 <= args.loss < 1.0):
-        raise SystemExit(f"--loss must be in [0, 1), got {args.loss}")
-    if args.interval <= 0:
-        raise SystemExit(f"--interval must be > 0, got {args.interval}")
-    policy = SamplingPolicy(interval=ms(args.interval),
-                            overhead_budget=args.budget)
-    want_trace = args.trace_out is not None
-    if args.loss > 0:
-        env = lossy_wan_env(args.pes, ms(args.latency), loss=args.loss,
-                            trace=want_trace, sampling=policy, health=True)
-    else:
-        env = artificial_latency_env(args.pes, ms(args.latency),
-                                     trace=want_trace, sampling=policy,
-                                     health=True)
-    if args.app == "stencil":
-        from repro.apps.stencil import StencilApp
-        app = StencilApp(env, mesh=(args.mesh, args.mesh),
-                         objects=args.objects, payload="modeled")
-        app.run(args.steps)
-    else:
-        from repro.apps.leanmd import LeanMDApp
-        app = LeanMDApp(env, cells=(4, 4, 4), atoms_per_cell=16,
-                        payload="modeled")
-        app.run(args.steps)
-
-    report = build_report(env.aggregator)
-    report.health = health_section(env.health_events, env.governor)
-    report.timeseries = env.sampler.summary()
-    report.extra["app"] = args.app
-    report.extra["pes"] = args.pes
-    report.extra["objects"] = args.objects
-    report.extra["latency_ms"] = args.latency
-    report.extra["steps"] = args.steps
-    if args.loss > 0:
-        report.extra["loss"] = args.loss
-    if args.out is not None:
-        with open(args.out, "a") as fh:
-            for event in env.health_events:
-                fh.write(json.dumps(event.to_dict()) + "\n")
-        report.extra["events_out"] = args.out
-    if args.trace_out is not None:
-        _write_chrome_trace(env, args.trace_out, report,
-                            health_events=env.health_events)
-
-    if args.json:
-        json.dump(report.to_dict(), out, indent=2)
-        print(file=out)
-        return
-    print(f"{args.app}: {args.pes} PEs, {args.objects} objects, "
           f"{args.latency:g} ms one-way WAN"
           + (f", loss {args.loss:g}" if args.loss > 0 else "")
-          + f", {args.steps} steps", file=out)
-    print(file=out)
-    print(report.render(), file=out)
-    print(file=out)
-    print(env.sampler.render(), file=out)
-    if args.out is not None:
-        print(f"\nHealth events appended to {args.out} "
-              f"({len(env.health_events)} records)", file=out)
-    if args.trace_out is not None:
-        print(f"Chrome trace (with health markers) written to "
-              f"{args.trace_out}", file=out)
-
-
-def cmd_netview(args, out) -> None:
-    from repro.apps.stencil import StencilApp
-    from repro.grid import artificial_latency_env
-    from repro.obs.report import build_report, netview_section
-    from repro.units import ms
-
-    _validate_run(args)
-    if args.streams < 0:
-        raise SystemExit(f"--streams must be >= 0, got {args.streams}")
-    if args.top < 1:
-        raise SystemExit(f"--top must be >= 1, got {args.top}")
-    env = artificial_latency_env(args.pes, ms(args.latency), trace=True,
-                                 routing=args.routing,
-                                 wan_streams=args.streams,
-                                 profile=args.ledger_out is not None)
-    t0 = env.now
-    app = StencilApp(env, mesh=(args.mesh, args.mesh),
-                     objects=args.objects, payload="modeled")
-    result = app.run(args.steps)
-
-    report = build_report(env.aggregator)
-    report.net = netview_section(env.tracer, top=args.top)
-    if args.ledger_out is not None:
-        from repro.obs.critpath import CausalGraph, per_step_attribution
-
-        graph = CausalGraph.from_tracer(env.tracer)
-        boundaries = [t0] + [t0 + float(t) for t in result.step_times]
-        steps = per_step_attribution(graph, boundaries)
-        _emit_ledger(args, "netview", result, env, steps, args.ledger_out)
-        report.extra["ledger"] = args.ledger_out
-    report.extra["app"] = "stencil"
-    report.extra["pes"] = args.pes
-    report.extra["objects"] = args.objects
-    report.extra["latency_ms"] = args.latency
-    report.extra["steps"] = args.steps
-    if args.routing is not None:
-        report.extra["routing"] = args.routing
-    if args.streams:
-        report.extra["wan_streams"] = args.streams
-    if args.trace_out is not None:
-        _write_chrome_trace(env, args.trace_out, report)
-
-    if args.json:
-        json.dump(report.to_dict(), out, indent=2)
-        print(file=out)
-        return
-    print(f"stencil: {args.pes} PEs, {args.objects} objects, "
-          f"{args.latency:g} ms one-way WAN"
           + (f", routing {args.routing}" if args.routing else "")
           + (f", {args.streams} WAN streams" if args.streams else "")
           + f", {args.steps} steps", file=out)
     print(file=out)
-    print(report.render(), file=out)
-    if args.trace_out is not None:
-        print(f"\nChrome trace (per-link network lanes) written to "
-              f"{args.trace_out}", file=out)
-
-
-def cmd_objview(args, out) -> None:
-    from repro.grid import artificial_latency_env
-    from repro.obs.critpath import (
-        CausalGraph,
-        per_object_blame,
-        per_step_attribution,
-        render_blame,
-    )
-    from repro.obs.objview import ObjectView, recommend_decomposition
-    from repro.obs.report import build_report, objview_section
-    from repro.units import ms
-
-    _validate_run(args)
-    if args.top < 1:
-        raise SystemExit(f"--top must be >= 1, got {args.top}")
-    env = artificial_latency_env(args.pes, ms(args.latency), trace=True,
-                                 profile=args.ledger_out is not None)
-    t0 = env.now
-    if args.app == "stencil":
-        from repro.apps.stencil import StencilApp
-        app = StencilApp(env, mesh=(args.mesh, args.mesh),
-                         objects=args.objects, payload="modeled")
-        result = app.run(args.steps)
+    if view == "objview":
+        _render_objview(objects, blame, advice, args.top, out)
     else:
-        from repro.apps.leanmd import LeanMDApp
-        app = LeanMDApp(env, cells=(4, 4, 4), atoms_per_cell=16,
-                        payload="modeled")
-        result = app.run(args.steps)
-
-    graph = CausalGraph.from_tracer(env.tracer)
-    boundaries = [t0] + [t0 + float(t) for t in result.step_times]
-    steps = per_step_attribution(graph, boundaries)
-    blame = per_object_blame(
-        [seg for att in steps for seg in att.segments])
-    view = ObjectView.from_source(env.tracer)
-    advice = recommend_decomposition(
-        view, ms(args.latency),
-        overhead_s=env.runtime.config.scheduler_overhead,
-        num_pes=args.pes, steps=args.steps, blame=blame)
-
-    report = build_report(env.aggregator)
-    report.objects = objview_section(view, top=args.top, blame=blame,
-                                     advice=advice)
-    report.extra["app"] = args.app
-    report.extra["pes"] = args.pes
-    report.extra["latency_ms"] = args.latency
-    report.extra["steps"] = args.steps
-    if args.trace_out is not None:
-        _write_chrome_trace(env, args.trace_out, report)
-    if args.ledger_out is not None:
-        _emit_ledger(args, "objview", result, env, steps, args.ledger_out,
-                     objects_blame=blame)
-        report.extra["ledger"] = args.ledger_out
-
-    if args.json:
-        json.dump(report.to_dict(), out, indent=2)
+        print(report.render(), file=out)
+    if args.per_step:
         print(file=out)
-        return
-    print(f"{args.app}: {args.pes} PEs, {args.objects} objects, "
-          f"{args.latency:g} ms one-way WAN, {args.steps} steps",
-          file=out)
+        print(render_attribution(steps, warmup=result.warmup), file=out)
+    if view == "critpath":
+        print(file=out)
+        pairs = "  ".join(
+            f"{lat * 1e3:g}ms->{t * 1e3:.2f}"
+            for lat, t in zip(knee.grid_s, knee.predicted_step_s))
+        print(f"predicted T(L) ms/step: {pairs}", file=out)
+        print(f"predicted knee: {knee.knee_s * 1e3:g} ms "
+              f"(largest L with T(L) <= {knee.tolerance:g}x baseline)",
+              file=out)
+    elif health:
+        print(file=out)
+        print(env.sampler.render(), file=out)
     print(file=out)
-    print(view.render(top=args.top), file=out)
+    for key, note in (("events_out", "Health events appended to {}"),
+                      ("chrome_trace", "Chrome trace written to {} (open "
+                       "in chrome://tracing or https://ui.perfetto.dev)"),
+                      ("event_log", "Event log written to {}"),
+                      ("ledger", "Ledger record appended to {}")):
+        if key in extra:
+            print(note.format(extra[key]), file=out)
+
+
+def _render_objview(objects, blame, advice, top: int, out) -> None:
+    """Text object view: tables, blame, and the advisor's findings."""
+    from repro.obs.critpath import render_blame
+
+    print(objects.render(top=top), file=out)
     print(file=out)
-    print(render_blame(blame, top=args.top), file=out)
+    print(render_blame(blame, top=top), file=out)
     print(file=out)
     rec = advice.recommended_objects
     print("advisor: direction=" + advice.direction
           + (f", recommended objects={rec}" if rec is not None else ""),
           file=out)
-    for s in advice.suggestions[:args.top]:
+    for s in advice.suggestions[:top]:
         print(f"  [{s.action.upper():7s}] {s.obj}: {s.reason} "
               f"(saves ~{s.predicted_savings_s * 1e3:.3f} ms)", file=out)
     if not advice.suggestions:
         print("  no per-object findings: the decomposition looks healthy",
               file=out)
-    if args.trace_out is not None:
-        print(f"\nChrome trace (with per-object lanes) written to "
-              f"{args.trace_out}", file=out)
-    if args.ledger_out is not None:
-        print(f"Ledger record appended to {args.ledger_out}", file=out)
 
 
 def cmd_sweep(args, out) -> None:
@@ -1012,11 +785,7 @@ COMMANDS = {
     "fig3": cmd_fig3,
     "fig4": cmd_fig4,
     "demo": cmd_demo,
-    "trace": cmd_trace,
-    "critpath": cmd_critpath,
-    "health": cmd_health,
-    "netview": cmd_netview,
-    "objview": cmd_objview,
+    "inspect": cmd_inspect,
     "sweep": cmd_sweep,
     "bench-diff": cmd_bench_diff,
     "compare": cmd_compare,

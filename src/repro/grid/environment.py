@@ -27,7 +27,7 @@ from repro.obs.profiler import WallProfiler
 from repro.obs.timeseries import SamplingPolicy, TelemetrySampler
 from repro.sim.engine import Engine
 from repro.sim.rand import RandomStreams
-from repro.sim.trace import TraceAggregator, TraceFanout, Tracer
+from repro.sim.trace import TraceAggregator, Tracer
 
 
 class GridEnvironment:
@@ -44,9 +44,11 @@ class GridEnvironment:
     config:
         Runtime constants; ``None`` uses defaults.
     trace:
-        Enable full Projections-style tracing (stores every event —
-        memory grows with event count; needed for timeline rendering
-        and Chrome-trace export).
+        Enable full Projections-style tracing: the streaming aggregator
+        plus an event store (memory grows with event count; needed for
+        timelines, causal graphs and Chrome-trace export).  The one
+        :class:`~repro.sim.trace.Tracer` is then both :attr:`tracer`
+        and :attr:`aggregator`, so it implies ``stats``.
     stats:
         Enable streaming trace aggregation (default on): PE
         utilization, per-entry profiles and the masked-latency fraction
@@ -58,7 +60,7 @@ class GridEnvironment:
         :class:`~repro.sim.trace.ObjectFold`).  Turn off to measure the
         aggregator at its pre-object-view cost (perf-smoke baseline) or
         to shed the per-object memory in enormous sweeps.  Ignored when
-        ``stats`` is off.
+        neither ``stats`` nor ``trace`` is on.
     max_events:
         Engine safety valve against livelock; ``None`` disables.
     reliable:
@@ -110,10 +112,15 @@ class GridEnvironment:
         if self.profiler is not None:
             self.engine.profiler = self.profiler
         self.metrics = MetricsRegistry()
-        self.tracer = Tracer(enabled=trace)
-        self.aggregator: Optional[TraceAggregator] = (
-            TraceAggregator(metrics=self.metrics, objects=object_stats)
-            if stats else None)
+        self.aggregator: Optional[TraceAggregator]
+        if trace:
+            self.tracer = Tracer(metrics=self.metrics, objects=object_stats)
+            self.aggregator = self.tracer
+        else:
+            self.tracer = Tracer(enabled=False)
+            self.aggregator = (
+                TraceAggregator(metrics=self.metrics, objects=object_stats)
+                if stats else None)
         if health and sampling is None:
             sampling = True
         sampling_policy: Optional[SamplingPolicy]
@@ -127,17 +134,7 @@ class GridEnvironment:
         self.governor = ObsGovernor(
             budget=sampling_policy.overhead_budget
             if sampling_policy is not None else None)
-        sinks = []
-        if trace:
-            sinks.append(self.tracer)
-        if self.aggregator is not None:
-            sinks.append(self.aggregator)
-        if not sinks:
-            sink = None
-        elif len(sinks) == 1:
-            sink = sinks[0]
-        else:
-            sink = TraceFanout(sinks)
+        sink = self.aggregator
         want_sink_timing = (
             sampling_policy is not None
             and sampling_policy.overhead_budget is not None)
@@ -190,8 +187,8 @@ class GridEnvironment:
     # -- governor downgrade/recovery ladder ------------------------------
 
     def _obs_to_sampling(self) -> None:
-        """Level "sampling": drop full per-event tracing."""
-        self.tracer.enabled = False
+        """Level "sampling": stop storing raw events; the fold goes on."""
+        self.tracer.storing = False
 
     def _obs_to_counters(self) -> None:
         """Level "counters": drop sampling and streaming aggregation too;
@@ -217,10 +214,10 @@ class GridEnvironment:
             self.aggregator.enabled = True
 
     def _obs_recover_full(self) -> None:
-        """Recovery to "full": re-enable per-event tracing, but only if
-        this environment was built with it in the first place."""
+        """Recovery to "full": store raw events again, but only if this
+        environment was built with tracing in the first place."""
         if self._trace_requested:
-            self.tracer.enabled = True
+            self.tracer.storing = True
 
     @property
     def health_events(self):

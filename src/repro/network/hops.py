@@ -6,8 +6,8 @@ message's hop ledger (a plain list the fabric threads through
 :meth:`~repro.network.chain.DeviceChain.resolve` and
 ``TransportDevice.transit``).  The finished ledger flows to the trace
 sinks via ``message_hops`` and powers per-link utilization timelines,
-the wire-level critical-path decomposition, and the ``repro netview``
-report.
+the wire-level critical-path decomposition, and the ``repro inspect
+--view netview`` report.
 
 A span's three timestamps partition its hop:
 

@@ -15,7 +15,7 @@ Projections-grade surface:
 * :mod:`repro.obs.report` — the latency-masking report: utilization,
   comm/compute breakdown, and the headline **masked-latency fraction**
   (share of WAN in-flight time during which the destination PE was
-  busy), computed either from a batch trace or from the streaming
+  busy), read from the run's streaming
   :class:`~repro.sim.trace.TraceAggregator`;
 * :mod:`repro.obs.critpath` — causal critical-path analysis: the step
   DAG, per-step latency attribution (compute / WAN flight / queueing /
@@ -81,13 +81,11 @@ from repro.obs.objview import (
     Advice,
     ObjectView,
     Suggestion,
-    fold_from_tracer,
     recommend_decomposition,
 )
 from repro.obs.report import (
     LatencyMaskingReport,
     build_report,
-    masked_latency_fraction,
     objview_section,
 )
 from repro.obs.timeseries import (
@@ -153,7 +151,6 @@ __all__ = [
     "Advice",
     "ObjectView",
     "Suggestion",
-    "fold_from_tracer",
     "recommend_decomposition",
     "chrome_trace_events",
     "export_chrome_trace",
@@ -161,7 +158,6 @@ __all__ = [
     "write_event_log",
     "LatencyMaskingReport",
     "build_report",
-    "masked_latency_fraction",
     "objview_section",
     "OBS_LEVELS",
     "HealthConfig",

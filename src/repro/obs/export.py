@@ -277,7 +277,7 @@ def validate_chrome_trace(doc: Dict[str, Any]) -> None:
     Checks the subset of the trace-event format this exporter uses:
     top-level shape, per-phase required keys, numeric timestamps, and
     matched async begin/end pairs.  Used by the unit tests and by
-    ``repro trace`` before writing a file.
+    ``repro inspect`` before writing a file.
     """
     if not isinstance(doc, dict) or "traceEvents" not in doc:
         raise ConfigurationError("trace document must contain 'traceEvents'")

@@ -4,13 +4,9 @@ Charm++'s Projections tool has a per-object usage view that answers the
 question the PE/link/run views cannot: *which objects* are over-coarse,
 chatty, or misplaced.  This module is that view for the simulated
 runtime, built from the object labels the scheduler and fabric stamp on
-trace events (see :class:`repro.sim.trace.ObjectFold` for the shared
-fold both recorders drive):
+trace events and folded online by :class:`repro.sim.trace.ObjectFold`
+(the ``objview`` of every :class:`~repro.sim.trace.TraceAggregator`):
 
-* :func:`fold_from_tracer` — replay a batch :class:`~repro.sim.trace.Tracer`
-  recording through the shared fold.  Bit-identical to the streaming
-  fold a :class:`~repro.sim.trace.TraceAggregator` builds online
-  (hypothesis-tested in ``tests/property/test_objview_streaming.py``).
 * :class:`ObjectView` — presentation wrapper: JSON dump, text tables,
   totals, and the object×object communication matrix.
 * :func:`recommend_decomposition` — the decomposition advisor: flags
@@ -21,16 +17,6 @@ fold both recorders drive):
   virtualization degree from the paper's masking condition
   ``C·(1 − 1/v) ≥ L`` (validated against the cached Figure-3 panel in
   ``tests/integration/test_objview_advisor.py``).
-
-The batch replay feeds messages first and intervals second.  That is
-bit-identical to the interleaved streaming order because (a) all
-message counters are integers, (b) queue-wait pairing is FIFO per
-sequence id and every execution sharing a trigger seq runs on one PE
-(bundle sub-messages, duplicate deliveries), so the k-th pop pairs the
-k-th delivery on both paths, and (c) one object's executions are
-totally ordered (run-to-completion per PE; migration serializes the
-move), so its float accumulators see the same additions in the same
-order.
 """
 
 from __future__ import annotations
@@ -44,7 +30,6 @@ from repro.sim.trace import (
     ObjectFold,
     ObjectProfile,
     TraceAggregator,
-    Tracer,
 )
 
 __all__ = [
@@ -54,44 +39,17 @@ __all__ = [
     "ObjectView",
     "Suggestion",
     "Advice",
-    "fold_from_tracer",
     "recommend_decomposition",
 ]
 
 
-def fold_from_tracer(tracer: Tracer) -> ObjectFold:
-    """Fold a batch :class:`Tracer` recording into per-object profiles.
-
-    Drives the exact hooks :class:`TraceAggregator` calls online, in an
-    order proven equivalent (module docstring), so the result is bit
-    identical to the streaming fold of the same run.
-    """
-    fold = ObjectFold()
-    for ev in tracer.messages:
-        local = ev.src_pe == ev.dst_pe
-        if ev.kind == "send":
-            fold.on_send(ev.size, ev.crossed_wan, local,
-                         ev.src_obj, ev.dst_obj)
-        elif ev.kind == "deliver":
-            fold.on_deliver(ev.time, ev.seq, ev.size, ev.crossed_wan,
-                            local, ev.dst_obj)
-        else:
-            fold.on_drop(ev.src_obj)
-    for iv in tracer.intervals:
-        fold.on_begin(iv.start, iv.obj, iv.trigger)
-        fold.on_exec(iv.obj, iv.entry, iv.duration)
-    return fold
-
-
-def _fold_of(source: Union[ObjectFold, Tracer, TraceAggregator,
+def _fold_of(source: Union[ObjectFold, TraceAggregator,
                            "ObjectView"]) -> ObjectFold:
     """Accept any object-view source and return its fold."""
     if isinstance(source, ObjectView):
         return source.fold
     if isinstance(source, ObjectFold):
         return source
-    if isinstance(source, Tracer):
-        return fold_from_tracer(source)
     objview = getattr(source, "objview", None)
     if objview is None:
         raise ValueError(
@@ -103,8 +61,8 @@ def _fold_of(source: Union[ObjectFold, Tracer, TraceAggregator,
 class ObjectView:
     """Presentation wrapper around an :class:`ObjectFold`.
 
-    Construct from whichever recorder the run kept:
-    ``ObjectView.from_source(tracer_or_aggregator)``.
+    Construct from the run's recorder:
+    ``ObjectView.from_source(env.aggregator)``.
     """
 
     def __init__(self, fold: ObjectFold, makespan_s: float = 0.0) -> None:
@@ -112,10 +70,10 @@ class ObjectView:
         self.makespan_s = makespan_s
 
     @classmethod
-    def from_source(cls, source: Union[ObjectFold, Tracer,
+    def from_source(cls, source: Union[ObjectFold,
                                        TraceAggregator]) -> "ObjectView":
         makespan = 0.0
-        if isinstance(source, (Tracer, TraceAggregator)):
+        if isinstance(source, TraceAggregator):
             makespan = source.makespan()
         return cls(_fold_of(source), makespan_s=makespan)
 
@@ -269,7 +227,7 @@ def _recommended_degree(compute_per_pe_step: float, wan_latency_s: float,
 
 
 def recommend_decomposition(
-        source: Union[ObjectFold, Tracer, TraceAggregator, "ObjectView"],
+        source: Union[ObjectFold, TraceAggregator, "ObjectView"],
         wan_latency_s: float,
         *,
         overhead_s: float = 2e-6,
@@ -287,8 +245,8 @@ def recommend_decomposition(
     ----------
     source:
         Anything holding object statistics: an :class:`ObjectFold`, a
-        batch :class:`Tracer`, a :class:`TraceAggregator` (with object
-        stats on) or an :class:`ObjectView`.
+        :class:`TraceAggregator` (with object stats on) or an
+        :class:`ObjectView`.
     wan_latency_s:
         One-way per-step WAN latency of the run (the wait a finer
         decomposition would mask).

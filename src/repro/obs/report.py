@@ -1,45 +1,21 @@
 """The latency-masking report: the paper's argument as numbers.
 
 Eijkhout's task-graph latency-tolerance work (PAPERS.md) quantifies
-masking as an explicit overlap fraction; this module computes and
-renders that number — plus utilization and a comm/compute breakdown —
-for any run, from either recorder:
-
-* a batch :class:`~repro.sim.trace.Tracer` (post-hoc: pairs WAN
-  windows, then measures destination busy time inside each), or
-* a streaming :class:`~repro.sim.trace.TraceAggregator` (the same
-  quantities, already folded online).
-
-Both paths produce a :class:`LatencyMaskingReport` with a text rendering
-for terminals and ``to_dict()`` for ``--json`` consumers.
+masking as an explicit overlap fraction; this module renders that
+number — plus utilization and a comm/compute breakdown — for any run,
+from the run's :class:`~repro.sim.trace.TraceAggregator` (a full
+:class:`~repro.sim.trace.Tracer` is one), as a
+:class:`LatencyMaskingReport` with a text rendering for terminals and
+``to_dict()`` for ``--json`` consumers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.sim.trace import EntryProfile, TraceAggregator, Tracer
-
-
-def masked_latency_fraction(tracer: Tracer) -> Tuple[float, float, float]:
-    """Batch overlap computation from a full trace.
-
-    Returns ``(masked_fraction, flight_time, masked_time)`` where
-    *masked_fraction* is the share of total WAN in-flight seconds during
-    which the destination PE was executing entry methods.
-    """
-    flight = 0.0
-    masked = 0.0
-    for sent, arrived, _src, dst in tracer.wan_flight_windows():
-        span = arrived - sent
-        if span <= 0:
-            continue
-        flight += span
-        masked += tracer.busy_during(dst, sent, arrived)
-    fraction = masked / flight if flight > 0 else 0.0
-    return fraction, flight, masked
 
 
 @dataclass
@@ -60,26 +36,26 @@ class LatencyMaskingReport:
     masked_fraction: float
     retransmits: int = 0
     dups_suppressed: int = 0
-    #: Optional critical-path section (``repro critpath`` fills it):
-    #: steady-state component shares from
+    #: Optional critical-path section (``repro inspect --view critpath``
+    #: fills it): steady-state component shares from
     #: :func:`repro.obs.critpath.summarize_attribution` and, when the
     #: knee analyzer ran, its :class:`~repro.obs.critpath.KneePrediction`
     #: digest under ``"knee"``.
     critpath: Optional[Dict[str, object]] = None
-    #: Optional health section (``repro health`` fills it): the watchdog
-    #: and governor events fired during the run, as
+    #: Optional health section (``repro inspect --view health`` fills
+    #: it): the watchdog and governor events fired during the run, as
     #: :meth:`~repro.obs.health.HealthEvent.to_dict` dicts, plus the
     #: final observability level and overhead fraction.
     health: Optional[Dict[str, object]] = None
     #: Optional telemetry section: the
     #: :meth:`~repro.obs.timeseries.TelemetrySampler.summary` digest.
     timeseries: Optional[Dict[str, object]] = None
-    #: Optional network flight-recorder section (``repro netview`` fills
-    #: it): per-lane utilization, per-link roll-ups and the top wire
-    #: messages, from :func:`netview_section`.
+    #: Optional network flight-recorder section (``repro inspect --view
+    #: netview`` fills it): per-lane utilization, per-link roll-ups and
+    #: the top wire messages, from :func:`netview_section`.
     net: Optional[Dict[str, object]] = None
-    #: Optional object-view section (``repro objview`` fills it): the
-    #: per-chare totals, top objects by compute, per-object
+    #: Optional object-view section (``repro inspect --view objview``
+    #: fills it): the per-chare totals, top objects by compute, per-object
     #: critical-path blame and the decomposition advisor's verdict,
     #: from :func:`objview_section`.
     objects: Optional[Dict[str, object]] = None
@@ -152,7 +128,7 @@ class LatencyMaskingReport:
         }
 
     def render(self) -> str:
-        """Human-readable report (the ``repro trace`` default output)."""
+        """Human-readable report (``repro inspect``'s text output)."""
         lines = [
             "Latency-masking report",
             "----------------------",
@@ -335,22 +311,18 @@ def health_section(events, governor=None) -> Dict[str, object]:
     return out
 
 
-def netview_section(source: Union[Tracer, TraceAggregator],
+def netview_section(source: TraceAggregator,
                     top: int = 10) -> Dict[str, object]:
     """Build the report's ``net`` section from the flight recorder.
 
-    Works from either recorder: per-lane usage plus per-link roll-ups
-    (stream lanes summed under their owning device).  The top-*top*
-    wire messages are available only from a batch :class:`Tracer`
-    (the aggregator folds ledgers without storing them).
+    Per-lane usage plus per-link roll-ups (stream lanes summed under
+    their owning device).  The top-*top* wire messages need stored hop
+    ledgers, so they are listed only when *source* is a :class:`Tracer`.
     """
-    if isinstance(source, Tracer):
-        links = source.link_summary()
-    elif isinstance(source, TraceAggregator):
-        links = source.link_usage()
-    else:
+    if not isinstance(source, TraceAggregator):
         raise ConfigurationError(
             f"cannot build a netview from {type(source).__name__}")
+    links = source.link_usage()
     makespan = source.makespan()
     lanes: Dict[str, object] = {}
     rollup: Dict[str, Dict[str, object]] = {}
@@ -395,8 +367,8 @@ def objview_section(source, top: int = 5, blame=None,
     ----------
     source:
         Anything :class:`~repro.obs.objview.ObjectView` accepts: a
-        batch :class:`Tracer`, a :class:`TraceAggregator` with object
-        stats on, or an :class:`~repro.sim.trace.ObjectFold`.
+        :class:`TraceAggregator` (or :class:`Tracer`) with object stats
+        on, or an :class:`~repro.sim.trace.ObjectFold`.
     top:
         Objects listed in ``top_by_compute``.
     blame:
@@ -446,47 +418,25 @@ def _top_entries(profiles: Dict[Tuple[str, str], EntryProfile],
     return [(p.chare, p.entry, p.calls, p.total_time) for p in ranked]
 
 
-def build_report(source: Union[Tracer, TraceAggregator],
+def build_report(source: TraceAggregator,
                  top: int = 8) -> LatencyMaskingReport:
-    """Build a :class:`LatencyMaskingReport` from either recorder."""
-    if isinstance(source, TraceAggregator):
-        span = source.makespan()
-        usage = source.pe_usage()
-        return LatencyMaskingReport(
-            makespan_s=span,
-            pes=len(usage),
-            executions=sum(u.executions for u in usage.values()),
-            busy_time_s=sum(u.busy for u in usage.values()),
-            utilization={pe: u.utilization(span) for pe, u in usage.items()},
-            top_entries=_top_entries(source.profile_by_entry(), top),
-            wan_windows=source.wan.windows,
-            wan_flight_time_s=source.wan.flight_time,
-            wan_masked_time_s=source.wan.masked_time,
-            masked_fraction=source.wan.masked_fraction,
-            retransmits=source.retransmits,
-            dups_suppressed=source.dups_suppressed,
-        )
-    if isinstance(source, Tracer):
-        if not source.enabled:
-            raise ConfigurationError(
-                "cannot report on a disabled tracer (enable trace=True or "
-                "use the streaming aggregator)")
-        span = source.makespan()
-        usage = source.pe_usage()
-        fraction, flight, masked = masked_latency_fraction(source)
-        return LatencyMaskingReport(
-            makespan_s=span,
-            pes=len(usage),
-            executions=sum(u.executions for u in usage.values()),
-            busy_time_s=sum(u.busy for u in usage.values()),
-            utilization={pe: u.utilization(span) for pe, u in usage.items()},
-            top_entries=_top_entries(source.profile_by_entry(), top),
-            wan_windows=len(source.wan_flight_windows()),
-            wan_flight_time_s=flight,
-            wan_masked_time_s=masked,
-            masked_fraction=fraction,
-            retransmits=source.retransmits,
-            dups_suppressed=source.dups_suppressed,
-        )
-    raise ConfigurationError(
-        f"cannot build a report from {type(source).__name__}")
+    """Build a :class:`LatencyMaskingReport` from the run's fold."""
+    if not isinstance(source, TraceAggregator):
+        raise ConfigurationError(
+            f"cannot build a report from {type(source).__name__}")
+    span = source.makespan()
+    usage = source.pe_usage()
+    return LatencyMaskingReport(
+        makespan_s=span,
+        pes=len(usage),
+        executions=sum(u.executions for u in usage.values()),
+        busy_time_s=sum(u.busy for u in usage.values()),
+        utilization={pe: u.utilization(span) for pe, u in usage.items()},
+        top_entries=_top_entries(source.profile_by_entry(), top),
+        wan_windows=source.wan.windows,
+        wan_flight_time_s=source.wan.flight_time,
+        wan_masked_time_s=source.wan.masked_time,
+        masked_fraction=source.wan.masked_fraction,
+        retransmits=source.retransmits,
+        dups_suppressed=source.dups_suppressed,
+    )

@@ -7,21 +7,23 @@ simulated runtime: the scheduler calls :meth:`Tracer.begin_execute` /
 :meth:`Tracer.end_execute` and the network fabric calls
 :meth:`Tracer.message_sent` / :meth:`Tracer.message_delivered`.
 
-Two recorders implement that surface (the :class:`TraceSink` protocol):
+One recorder implements that surface (the :class:`TraceSink` protocol),
+in two sizes:
 
-* :class:`Tracer` — the batch recorder: stores every event, supports
-  arbitrary post-hoc queries (timelines, per-window overlap).  Memory
-  grows with event count, so sweeps historically ran with it disabled.
-* :class:`TraceAggregator` — the streaming recorder: folds each event
-  into running aggregates (PE utilization, per-entry profiles, WAN
-  flight statistics, and the headline **masked-latency fraction** — the
-  share of WAN in-flight time during which the destination PE was busy)
-  and then forgets it.  Memory is O(PEs + entry kinds + in-flight
-  messages), so full Figure-3/4 sweeps can keep statistics on.
+* :class:`TraceAggregator` — the fold: each event updates running
+  aggregates (PE utilization, per-entry profiles, WAN flight
+  statistics, per-lane link usage, the per-object fold, and the
+  headline **masked-latency fraction** — the share of WAN in-flight
+  time during which the destination PE was busy) and is then
+  forgotten.  Memory is O(PEs + entry kinds + in-flight messages), so
+  full Figure-3/4 sweeps can keep statistics on.
+* :class:`Tracer` — the same fold plus an event store: every sink
+  method runs the aggregator's fold and then appends the raw record,
+  for the queries only raw events answer (timelines, per-window busy
+  time, causal graphs, export).  Memory grows with event count.
 
 :class:`TraceFanout` multiplexes one recording stream to several sinks
-(e.g. a full tracer for export plus a streaming aggregator for the run
-report).
+(e.g. a run's recorder plus the sharded engine's event log).
 
 The trace is the raw material for
 
@@ -220,13 +222,7 @@ class LinkUsage:
 
 def fold_hops(links: Dict[str, LinkUsage], hops: HopLedger,
               wan: bool = False) -> None:
-    """Fold one ledger into per-lane usage, shared by both recorders.
-
-    Both :class:`Tracer` (post-hoc, over stored :class:`HopEvent`
-    records in recorded order) and :class:`TraceAggregator` (online)
-    call this exact function, so their per-lane sums are **bit
-    identical** — same additions in the same order.
-    """
+    """Fold one ledger into per-lane usage (:class:`TraceAggregator`)."""
     for h in hops:
         u = links.get(h.device)
         if u is None:
@@ -267,8 +263,7 @@ class ObjectProfile:
     histogram, per-entry counts — is *derived* on query.  This is the
     record-side half of the < 5 % perf-smoke bar: the per-execution hot
     path is a single dict increment, and the derivations iterate the
-    dict in sorted key order, so they are deterministic and identical
-    between the streaming and batch folds.  A simulator's grain sizes
+    dict in sorted key order, so they are deterministic.  A simulator's grain sizes
     come from its cost model and repeat heavily, so the dict stays
     O(entry kinds x distinct grains), far below O(executions).
     """
@@ -309,8 +304,7 @@ class ObjectProfile:
         """Total compute: sum of grain x count over sorted keys.
 
         The sorted iteration order makes the float sum a pure function
-        of the dict *contents*, so the streaming and batch folds agree
-        bitwise no matter how their updates interleaved.
+        of the dict *contents*, whatever order the updates arrived in.
         """
         return sum(k[1] * n for k, n in sorted(self.entry_grains.items()))
 
@@ -443,29 +437,28 @@ class CommEdge:
         }
 
 
+#: Most record tuples an :class:`ObjectFold` buffer holds.
+#: :meth:`TraceAggregator.end_execute` drains the buffer once it is half
+#: full; the other half is headroom for the sends and deliveries recorded
+#: before the next execution ends.
+OBJECT_BUFFER_LIMIT = 16384
+
+
 class ObjectFold:
-    """Shared per-object fold behind the Projections object view.
+    """Per-object fold behind the Projections object view.
 
-    Like :func:`fold_hops` for lanes, this is the *single* fold both
-    recorders drive: :class:`TraceAggregator` records events into this
-    fold as it goes (see the buffer protocol below), and
-    :func:`repro.obs.objview.fold_from_tracer` replays a batch
-    :class:`Tracer`'s stored streams through the same hooks.  Every
-    per-object float accumulator is updated in the same per-object order
-    on both paths (a chare's begin/end events are totally ordered, and
-    message counters are integers), so the two folds are **bit
-    identical** — hypothesis-tested in
-    ``tests/property/test_objview_streaming.py``.
-
-    The hooks' fold work is *not* performed per event on the live path:
-    :class:`TraceAggregator` appends one small tuple per relevant event
-    to :attr:`_buf` (a single ``list.append``, the cheapest record the
-    runtime can make — the perf-smoke bar holds the whole fold under
-    5 % marginal wall-clock cost over stats-only aggregation) and the
-    buffered stream is replayed through the reference hooks by
-    :meth:`_drain` the first time anyone asks for :attr:`profiles` or
-    :attr:`matrix`.  Replay preserves record order, so the result is
-    the same fold the hooks would have produced event by event.
+    :class:`TraceAggregator` (and so :class:`Tracer`) records events
+    into this fold as it goes.  The hooks' fold work is *not* performed
+    per event on the live path: the aggregator appends one small tuple
+    per relevant event to :attr:`_buf` (a single ``list.append``, the
+    cheapest record the runtime can make — the perf-smoke bar holds the
+    whole fold under 5 % marginal wall-clock cost over stats-only
+    aggregation) and the buffered stream is replayed through the
+    reference hooks by :meth:`_drain`, either when anyone asks for
+    :attr:`profiles` or :attr:`matrix` or when the buffer fills (see
+    :data:`OBJECT_BUFFER_LIMIT`).  Replay preserves record order, so the
+    result is the same fold the hooks would have produced event by
+    event, however often it drains.
 
     Buffer protocol (first element tags the hook; the rest are its
     positional arguments in order)::
@@ -482,10 +475,8 @@ class ObjectFold:
     sampler's :meth:`harvest_window` never forces a drain mid-run.
 
     Folded memory is O(objects + distinct (entry, grain) pairs +
-    comm-matrix nonzeros); the undrained buffer adds O(events since the
-    last profile query).  Long monitoring runs that want the buffer
-    bounded can call :meth:`flush` at any checkpoint — draining is
-    idempotent and never perturbs the fold's semantics.
+    comm-matrix nonzeros); the undrained buffer adds at most
+    :data:`OBJECT_BUFFER_LIMIT` tuples however long the run.
     """
 
     __slots__ = ("_profiles", "_matrix", "_buf", "_pending",
@@ -547,11 +538,6 @@ class ObjectFold:
             else:
                 on_drop(ev[1])
         buf.clear()
-
-    def flush(self) -> None:
-        """Fold any buffered events now (bounds buffer memory)."""
-        if self._buf:
-            self._drain()
 
     def _prof(self, obj: str) -> ObjectProfile:
         p = self._profiles.get(obj)
@@ -917,353 +903,6 @@ class TraceFanout:
             raise err
 
 
-class Tracer:
-    """Collects execution intervals and message events (batch sink).
-
-    Parameters
-    ----------
-    enabled:
-        When ``False`` every recording call is a cheap no-op; statistics
-        queries raise ``ValueError`` (the caller asked for data that was
-        never collected, which is a bug worth surfacing).
-    """
-
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
-        self.intervals: List[ExecInterval] = []
-        self.messages: List[MessageEvent] = []
-        #: Flight-recorder records: one per delivered wire copy, in the
-        #: order the fabric emitted them.
-        self.hops: List[HopEvent] = []
-        self._open: Dict[int, Tuple[float, str, str, Optional[int],
-                                    Optional[int], Optional[int],
-                                    Optional[str]]] = {}
-        #: Reliable-transport counters (cheap; kept even in big sweeps).
-        self.retransmits = 0
-        self.dups_suppressed = 0
-        #: Lazily built per-PE interval index for window queries; rebuilt
-        #: whenever intervals were appended since the last build.
-        self._index: Optional[Dict[int, Tuple[List[float], List[float],
-                                              List[float]]]] = None
-        self._index_len = -1
-
-    # -- recording -------------------------------------------------------
-
-    def begin_execute(self, pe: int, now: float, chare: str, entry: str,
-                      sid: Optional[int] = None,
-                      parent: Optional[int] = None,
-                      trigger: Optional[int] = None,
-                      obj: Optional[str] = None) -> None:
-        """Mark the start of an entry-method execution on *pe*."""
-        if not self.enabled:
-            return
-        if pe in self._open:
-            raise ValueError(f"PE {pe} already executing {self._open[pe]!r}")
-        self._open[pe] = (now, chare, entry, sid, parent, trigger, obj)
-
-    def end_execute(self, pe: int, now: float) -> None:
-        """Mark the end of the currently open execution on *pe*."""
-        if not self.enabled:
-            return
-        try:
-            start, chare, entry, sid, parent, trigger, obj = \
-                self._open.pop(pe)
-        except KeyError:
-            raise ValueError(f"PE {pe} has no open execution interval")
-        self.intervals.append(ExecInterval(pe, start, now, chare, entry,
-                                           sid=sid, parent=parent,
-                                           trigger=trigger, obj=obj))
-
-    def message_sent(self, now: float, src_pe: int, dst_pe: int, size: int,
-                     tag: str, crossed_wan: bool,
-                     seq: Optional[int] = None,
-                     cause: Optional[int] = None,
-                     ack_for: Optional[int] = None,
-                     src_obj: Optional[str] = None,
-                     dst_obj: Optional[str] = None) -> None:
-        """Record a message leaving its source PE."""
-        if not self.enabled:
-            return
-        self.messages.append(MessageEvent(
-            "send", now, src_pe, dst_pe, size, tag, crossed_wan, seq,
-            cause=cause, ack_for=ack_for, src_obj=src_obj, dst_obj=dst_obj))
-
-    def message_delivered(self, now: float, src_pe: int, dst_pe: int,
-                          size: int, tag: str, crossed_wan: bool,
-                          seq: Optional[int] = None,
-                          cause: Optional[int] = None,
-                          ack_for: Optional[int] = None,
-                          src_obj: Optional[str] = None,
-                          dst_obj: Optional[str] = None) -> None:
-        """Record a message arriving at its destination PE's queue."""
-        if not self.enabled:
-            return
-        self.messages.append(MessageEvent(
-            "deliver", now, src_pe, dst_pe, size, tag, crossed_wan, seq,
-            cause=cause, ack_for=ack_for, src_obj=src_obj, dst_obj=dst_obj))
-
-    def message_dropped(self, now: float, src_pe: int, dst_pe: int,
-                        size: int, tag: str, crossed_wan: bool,
-                        seq: Optional[int] = None,
-                        cause: Optional[int] = None,
-                        ack_for: Optional[int] = None,
-                        src_obj: Optional[str] = None,
-                        dst_obj: Optional[str] = None) -> None:
-        """Record a message lost on the wire (fault injection)."""
-        if not self.enabled:
-            return
-        self.messages.append(MessageEvent(
-            "drop", now, src_pe, dst_pe, size, tag, crossed_wan, seq,
-            cause=cause, ack_for=ack_for, src_obj=src_obj, dst_obj=dst_obj))
-
-    def note_retransmit(self) -> None:
-        """Count one reliable-layer retransmission."""
-        if self.enabled:
-            self.retransmits += 1
-
-    def note_dup_suppressed(self) -> None:
-        """Count one duplicate delivery suppressed by the reliable layer."""
-        if self.enabled:
-            self.dups_suppressed += 1
-
-    def message_hops(self, now: float, src_pe: int, dst_pe: int, size: int,
-                     tag: str, crossed_wan: bool, seq: Optional[int],
-                     arrival: float, hops: HopLedger,
-                     relay_hop: int = 0, arq_attempt: int = 0) -> None:
-        """Record one wire copy's hop ledger (see :class:`HopEvent`)."""
-        if not self.enabled:
-            return
-        self.hops.append(HopEvent(
-            now, src_pe, dst_pe, size, tag, crossed_wan, seq, arrival,
-            hops, relay_hop=relay_hop, arq_attempt=arq_attempt))
-
-    # -- analysis --------------------------------------------------------
-
-    def _require_data(self) -> None:
-        if not self.enabled:
-            raise ValueError("tracer was disabled; no data collected")
-
-    def makespan(self) -> float:
-        """Virtual time spanned by the recorded intervals."""
-        self._require_data()
-        if not self.intervals:
-            return 0.0
-        start = min(iv.start for iv in self.intervals)
-        end = max(iv.end for iv in self.intervals)
-        return end - start
-
-    def pe_usage(self) -> Dict[int, PeUsage]:
-        """Per-PE busy time and execution counts."""
-        self._require_data()
-        usage: Dict[int, PeUsage] = {}
-        for iv in self.intervals:
-            u = usage.setdefault(iv.pe, PeUsage(iv.pe))
-            u.busy += iv.duration
-            u.executions += 1
-        return usage
-
-    def _pe_index(self) -> Dict[int, Tuple[List[float], List[float],
-                                           List[float]]]:
-        """``pe -> (starts, ends, duration prefix sums)``, sorted by start.
-
-        Built once per batch of appended intervals; the overlap tests
-        issue one :meth:`busy_during` call per WAN window, which used to
-        rescan every interval (quadratic on big traces).
-        """
-        if self._index is not None and self._index_len == len(self.intervals):
-            return self._index
-        per_pe: Dict[int, List[ExecInterval]] = {}
-        for iv in self.intervals:
-            per_pe.setdefault(iv.pe, []).append(iv)
-        index: Dict[int, Tuple[List[float], List[float], List[float]]] = {}
-        for pe, ivs in per_pe.items():
-            ivs.sort(key=lambda iv: iv.start)
-            starts = [iv.start for iv in ivs]
-            ends = [iv.end for iv in ivs]
-            prefix = [0.0]
-            acc = 0.0
-            for iv in ivs:
-                acc += iv.duration
-                prefix.append(acc)
-            index[pe] = (starts, ends, prefix)
-        self._index = index
-        self._index_len = len(self.intervals)
-        return index
-
-    def busy_during(self, pe: int, start: float, end: float) -> float:
-        """Total time *pe* spent executing within the window [start, end].
-
-        This is the workhorse of the overlap tests: after identifying a
-        WAN message's in-flight window from the message events, the tests
-        assert the destination PE was busy during it — i.e. the latency
-        was *masked* by other objects' work, which is the paper's thesis.
-
-        O(log n) per query via a per-PE sorted index with duration
-        prefix sums (a PE's intervals never overlap — the recording API
-        enforces one open execution per PE in monotonic time — so the
-        intervals intersecting a window form a contiguous run).
-        """
-        self._require_data()
-        entry = self._pe_index().get(pe)
-        if entry is None or end <= start:
-            return 0.0
-        starts, ends, prefix = entry
-        # First interval ending after the window opens ...
-        lo = bisect_right(ends, start)
-        # ... through the last interval starting before it closes.
-        hi = bisect_left(starts, end)
-        if lo >= hi:
-            return 0.0
-        total = prefix[hi] - prefix[lo]
-        # Clip the boundary intervals to the window.
-        if starts[lo] < start:
-            total -= start - starts[lo]
-        if ends[hi - 1] > end:
-            total -= ends[hi - 1] - end
-        return total
-
-    def wan_flight_windows(self) -> List[Tuple[float, float, int, int]]:
-        """Return ``(send_time, deliver_time, src_pe, dst_pe)`` for every
-        message that crossed the wide-area link.
-
-        Events carrying a message sequence id are paired *by id*, so the
-        windows stay correct when jitter or retransmission delivers
-        messages out of send order (FIFO pairing would silently cross
-        them).  A retransmitted id contributes one window from its first
-        send to its first delivery; duplicate deliveries are ignored.
-        Legacy events without an id fall back to FIFO pairing per
-        (src, dst) pair.
-        """
-        self._require_data()
-        fifo: Dict[Tuple[int, int], List[float]] = {}
-        first_send: Dict[Tuple[int, int, int], float] = {}
-        emitted: set = set()
-        windows: List[Tuple[float, float, int, int]] = []
-        for ev in self.messages:
-            if not ev.crossed_wan:
-                continue
-            if ev.kind == "send":
-                if ev.seq is None:
-                    fifo.setdefault((ev.src_pe, ev.dst_pe),
-                                    []).append(ev.time)
-                else:
-                    first_send.setdefault(
-                        (ev.src_pe, ev.dst_pe, ev.seq), ev.time)
-            elif ev.kind == "deliver":
-                if ev.seq is None:
-                    queue = fifo.get((ev.src_pe, ev.dst_pe))
-                    if queue:
-                        windows.append((queue.pop(0), ev.time,
-                                        ev.src_pe, ev.dst_pe))
-                else:
-                    key = (ev.src_pe, ev.dst_pe, ev.seq)
-                    if key in first_send and key not in emitted:
-                        emitted.add(key)
-                        windows.append((first_send[key], ev.time,
-                                        ev.src_pe, ev.dst_pe))
-        return windows
-
-    def link_summary(self) -> Dict[str, LinkUsage]:
-        """Per-lane usage folded from the recorded hop ledgers.
-
-        Folds with :func:`fold_hops` over :attr:`hops` in recorded
-        order, so the result is bit-identical to a streaming
-        :class:`TraceAggregator`'s :meth:`~TraceAggregator.link_usage`
-        fed the same events.
-        """
-        self._require_data()
-        links: Dict[str, LinkUsage] = {}
-        for ev in self.hops:
-            fold_hops(links, ev.hops, ev.crossed_wan)
-        return links
-
-    def top_wire_messages(self, k: int = 10) -> List[HopEvent]:
-        """The *k* wire copies with the largest send-to-arrival time.
-
-        Ties break deterministically toward the earlier-recorded event.
-        """
-        self._require_data()
-        order = sorted(range(len(self.hops)),
-                       key=lambda i: (-self.hops[i].wire_time, i))
-        return [self.hops[i] for i in order[:k]]
-
-    def hop_ledgers(self) -> Dict[Tuple[Optional[int], float], HopLedger]:
-        """``(seq, arrival) -> ledger`` for causal/critical-path lookup.
-
-        The arrival time disambiguates duplicate wire copies of one
-        sequence id (ARQ retransmissions, fault-injected dups); the
-        delivery event the causal graph pairs against carries the same
-        float, so lookups are exact.
-        """
-        self._require_data()
-        out: Dict[Tuple[Optional[int], float], HopLedger] = {}
-        for ev in self.hops:
-            out.setdefault((ev.seq, ev.arrival), ev.hops)
-        return out
-
-    def timeline(self, pes: Optional[Iterable[int]] = None
-                 ) -> Dict[int, List[ExecInterval]]:
-        """Per-PE chronologically sorted execution intervals."""
-        self._require_data()
-        wanted = set(pes) if pes is not None else None
-        out: Dict[int, List[ExecInterval]] = {}
-        for iv in self.intervals:
-            if wanted is not None and iv.pe not in wanted:
-                continue
-            out.setdefault(iv.pe, []).append(iv)
-        for lst in out.values():
-            lst.sort(key=lambda iv: iv.start)
-        return out
-
-    def render_timeline(self, width: int = 72,
-                        pes: Optional[Iterable[int]] = None) -> str:
-        """ASCII rendering of per-PE busy intervals (Figure-2 style).
-
-        Each PE gets a row of *width* characters; ``#`` marks busy time,
-        ``.`` idle time.  Intended for examples and debugging, not parsing.
-        """
-        tl = self.timeline(pes)
-        if not tl:
-            return "(empty trace)"
-        start = min(iv.start for ivs in tl.values() for iv in ivs)
-        end = max(iv.end for ivs in tl.values() for iv in ivs)
-        span = max(end - start, 1e-12)
-        lines = []
-        for pe in sorted(tl):
-            row = ["."] * width
-            for iv in tl[pe]:
-                lo = int((iv.start - start) / span * (width - 1))
-                hi = int((iv.end - start) / span * (width - 1))
-                for i in range(lo, hi + 1):
-                    row[i] = "#"
-            lines.append(f"PE{pe:>3} |" + "".join(row) + "|")
-        return "\n".join(lines)
-
-    def profile_by_entry(self) -> Dict[Tuple[str, str], EntryProfile]:
-        """Projections-style usage profile: time per (chare, entry) kind."""
-        self._require_data()
-        out: Dict[Tuple[str, str], EntryProfile] = {}
-        for iv in self.intervals:
-            key = (iv.chare, iv.entry)
-            prof = out.setdefault(key, EntryProfile(iv.chare, iv.entry))
-            prof.calls += 1
-            prof.total_time += iv.duration
-        return out
-
-    def render_profile(self, top: int = 10) -> str:
-        """Human-readable top-N entry-method usage table."""
-        all_profs = self.profile_by_entry().values()
-        profs = sorted(all_profs, key=lambda p: -p.total_time)[:top]
-        total = sum(p.total_time for p in all_profs)
-        lines = [f"{'chare.entry':36s} {'calls':>8} {'time(s)':>10} "
-                 f"{'share':>7}"]
-        for p in profs:
-            share = p.total_time / total if total > 0 else 0.0
-            lines.append(f"{p.chare + '.' + p.entry:36s} {p.calls:>8} "
-                         f"{p.total_time:>10.4f} {share:>6.1%}")
-        return "\n".join(lines)
-
-
 @dataclass
 class WanOverlapStats:
     """Running WAN flight / overlap totals kept by the aggregator."""
@@ -1305,10 +944,10 @@ class _OpenWindow:
 class TraceAggregator:
     """Streaming trace statistics in O(PEs + entry kinds) memory.
 
-    Consumes the same recording stream as :class:`Tracer` but folds each
-    event into running aggregates instead of storing it, so benchmarks
-    can keep statistics on during full Figure-3/4 sweeps.  Computed
-    online:
+    The run's single fold: each event updates running aggregates and is
+    then forgotten, so benchmarks can keep statistics on during full
+    Figure-3/4 sweeps.  :class:`Tracer` is this fold plus an event
+    store.  Computed online:
 
     * per-PE busy time and execution counts (:meth:`pe_usage`);
     * the makespan spanned by execution intervals (:meth:`makespan`);
@@ -1316,11 +955,9 @@ class TraceAggregator:
     * message/byte counters, split local vs WAN;
     * WAN flight windows and the **masked-latency fraction**
       (:attr:`wan`), using the same send/deliver pairing rules as
-      :meth:`Tracer.wan_flight_windows`.
-
-    All of these exactly match the batch :class:`Tracer` analysis on the
-    same event stream (property-tested in
-    ``tests/property/test_trace_streaming.py``).
+      :meth:`Tracer.wan_flight_windows`;
+    * per-lane link usage from hop ledgers (:meth:`link_usage`);
+    * per-object profiles and the comm matrix (:attr:`objview`).
 
     The only state that scales beyond O(PEs + entry kinds) is the
     per-message bookkeeping the semantics require: windows currently in
@@ -1435,6 +1072,8 @@ class TraceAggregator:
             if duration > ov.window_max_grain_s:
                 ov.window_max_grain_s = duration
                 ov.window_max_grain_obj = obj
+            if len(ov._buf) * 2 >= OBJECT_BUFFER_LIMIT:
+                ov._drain()
         usage = self._usage.get(pe)
         if usage is None:
             usage = self._usage[pe] = PeUsage(pe)
@@ -1578,12 +1217,7 @@ class TraceAggregator:
                      tag: str, crossed_wan: bool, seq: Optional[int],
                      arrival: float, hops: HopLedger,
                      relay_hop: int = 0, arq_attempt: int = 0) -> None:
-        """Fold one wire copy's hop ledger into per-lane usage.
-
-        Uses :func:`fold_hops` — the same function, in the same event
-        order, as :meth:`Tracer.link_summary` — so both sinks produce
-        bit-identical per-lane sums from one recording stream.
-        """
+        """Fold one wire copy's hop ledger into per-lane usage."""
         if not self.enabled:
             return
         fold_hops(self._links, hops, crossed_wan)
@@ -1610,6 +1244,19 @@ class TraceAggregator:
     def profile_by_entry(self) -> Dict[Tuple[str, str], EntryProfile]:
         """Per-(chare, entry) execution profile (live view)."""
         return self._profiles
+
+    def render_profile(self, top: int = 10) -> str:
+        """Human-readable top-N entry-method usage table."""
+        all_profs = self.profile_by_entry().values()
+        profs = sorted(all_profs, key=lambda p: -p.total_time)[:top]
+        total = sum(p.total_time for p in all_profs)
+        lines = [f"{'chare.entry':36s} {'calls':>8} {'time(s)':>10} "
+                 f"{'share':>7}"]
+        for p in profs:
+            share = p.total_time / total if total > 0 else 0.0
+            lines.append(f"{p.chare + '.' + p.entry:36s} {p.calls:>8} "
+                         f"{p.total_time:>10.4f} {share:>6.1%}")
+        return "\n".join(lines)
 
     @property
     def masked_latency_fraction(self) -> float:
@@ -1697,3 +1344,298 @@ class TraceAggregator:
                 f"executions={sum(u.executions for u in self._usage.values())}, "
                 f"wan_windows={self.wan.windows}, "
                 f"masked={self.wan.masked_fraction:.1%})")
+
+
+class Tracer(TraceAggregator):
+    """The full recorder: the streaming fold plus an event store.
+
+    Every sink method runs :class:`TraceAggregator`'s fold and then
+    appends the raw record (:class:`ExecInterval`, :class:`MessageEvent`
+    or :class:`HopEvent`), so a traced run's statistics are the
+    aggregator's by construction.  The stored events answer what only
+    raw records can: timelines, busy time inside a window, causal
+    graphs, export, and the top wire messages.
+
+    Parameters
+    ----------
+    enabled:
+        When ``False`` every recording call is a cheap no-op and
+        stored-event queries raise ``ValueError`` (the caller asked for
+        data that was never collected, which is a bug worth surfacing).
+    metrics, objects:
+        As for :class:`TraceAggregator`.
+    """
+
+    def __init__(self, enabled: bool = True,
+                 metrics: Optional["MetricsRegistry"] = None,
+                 objects: bool = True) -> None:
+        super().__init__(metrics=metrics, objects=objects)
+        self.enabled = enabled
+        #: Raw-event storage switch.  Events are stored only while both
+        #: this and :attr:`enabled` are set; the observability governor
+        #: clears it alone to keep the fold running without storage.
+        self.storing = enabled
+        self.intervals: List[ExecInterval] = []
+        self.messages: List[MessageEvent] = []
+        #: Flight-recorder records: one per delivered wire copy, in the
+        #: order the fabric emitted them.
+        self.hops: List[HopEvent] = []
+        #: pe -> (start, chare, entry, sid, parent, trigger, obj) of the
+        #: execution open on that PE, when its begin was stored.
+        self._open: Dict[int, tuple] = {}
+        #: Lazily built per-PE interval index for window queries; rebuilt
+        #: whenever intervals were appended since the last build.
+        self._index: Optional[Dict[int, Tuple[List[float], List[float],
+                                              List[float]]]] = None
+        self._index_len = -1
+
+    # -- recording -------------------------------------------------------
+
+    def begin_execute(self, pe: int, now: float, chare: str, entry: str,
+                      sid: Optional[int] = None,
+                      parent: Optional[int] = None,
+                      trigger: Optional[int] = None,
+                      obj: Optional[str] = None) -> None:
+        """Mark the start of an entry-method execution on *pe*."""
+        super().begin_execute(pe, now, chare, entry, sid, parent, trigger,
+                              obj)
+        if self.enabled and self.storing:
+            self._open[pe] = (now, chare, entry, sid, parent, trigger, obj)
+
+    def end_execute(self, pe: int, now: float) -> None:
+        """Mark the end of the currently open execution on *pe*."""
+        super().end_execute(pe, now)
+        opened = self._open.pop(pe, None)
+        if opened is not None and self.enabled and self.storing:
+            start, chare, entry, sid, parent, trigger, obj = opened
+            self.intervals.append(ExecInterval(
+                pe, start, now, chare, entry, sid=sid, parent=parent,
+                trigger=trigger, obj=obj))
+
+    def message_sent(self, now: float, src_pe: int, dst_pe: int, size: int,
+                     tag: str, crossed_wan: bool,
+                     seq: Optional[int] = None,
+                     cause: Optional[int] = None,
+                     ack_for: Optional[int] = None,
+                     src_obj: Optional[str] = None,
+                     dst_obj: Optional[str] = None) -> None:
+        """Record a message leaving its source PE."""
+        super().message_sent(now, src_pe, dst_pe, size, tag, crossed_wan,
+                             seq, cause, ack_for, src_obj, dst_obj)
+        if self.enabled and self.storing:
+            self.messages.append(MessageEvent(
+                "send", now, src_pe, dst_pe, size, tag, crossed_wan, seq,
+                cause, ack_for, src_obj, dst_obj))
+
+    def message_delivered(self, now: float, src_pe: int, dst_pe: int,
+                          size: int, tag: str, crossed_wan: bool,
+                          seq: Optional[int] = None,
+                          cause: Optional[int] = None,
+                          ack_for: Optional[int] = None,
+                          src_obj: Optional[str] = None,
+                          dst_obj: Optional[str] = None) -> None:
+        """Record a message arriving at its destination PE's queue."""
+        super().message_delivered(now, src_pe, dst_pe, size, tag,
+                                  crossed_wan, seq, cause, ack_for, src_obj,
+                                  dst_obj)
+        if self.enabled and self.storing:
+            self.messages.append(MessageEvent(
+                "deliver", now, src_pe, dst_pe, size, tag, crossed_wan, seq,
+                cause, ack_for, src_obj, dst_obj))
+
+    def message_dropped(self, now: float, src_pe: int, dst_pe: int,
+                        size: int, tag: str, crossed_wan: bool,
+                        seq: Optional[int] = None,
+                        cause: Optional[int] = None,
+                        ack_for: Optional[int] = None,
+                        src_obj: Optional[str] = None,
+                        dst_obj: Optional[str] = None) -> None:
+        """Record a message lost on the wire (fault injection)."""
+        super().message_dropped(now, src_pe, dst_pe, size, tag, crossed_wan,
+                                seq, cause, ack_for, src_obj, dst_obj)
+        if self.enabled and self.storing:
+            self.messages.append(MessageEvent(
+                "drop", now, src_pe, dst_pe, size, tag, crossed_wan, seq,
+                cause, ack_for, src_obj, dst_obj))
+
+    def message_hops(self, now: float, src_pe: int, dst_pe: int, size: int,
+                     tag: str, crossed_wan: bool, seq: Optional[int],
+                     arrival: float, hops: HopLedger,
+                     relay_hop: int = 0, arq_attempt: int = 0) -> None:
+        """Record one wire copy's hop ledger (see :class:`HopEvent`)."""
+        super().message_hops(now, src_pe, dst_pe, size, tag, crossed_wan,
+                             seq, arrival, hops, relay_hop, arq_attempt)
+        if self.enabled and self.storing:
+            self.hops.append(HopEvent(
+                now, src_pe, dst_pe, size, tag, crossed_wan, seq, arrival,
+                hops, relay_hop, arq_attempt))
+
+    # -- stored-event queries --------------------------------------------
+
+    def _require_data(self) -> None:
+        if not self.storing:
+            raise ValueError("tracer stored no events (disabled, or "
+                             "storage switched off)")
+
+    def _pe_index(self) -> Dict[int, Tuple[List[float], List[float],
+                                           List[float]]]:
+        """``pe -> (starts, ends, duration prefix sums)``, sorted by start.
+
+        Built once per batch of appended intervals; the overlap tests
+        issue one :meth:`busy_during` call per WAN window, which used to
+        rescan every interval (quadratic on big traces).
+        """
+        if self._index is not None and self._index_len == len(self.intervals):
+            return self._index
+        per_pe: Dict[int, List[ExecInterval]] = {}
+        for iv in self.intervals:
+            per_pe.setdefault(iv.pe, []).append(iv)
+        index: Dict[int, Tuple[List[float], List[float], List[float]]] = {}
+        for pe, ivs in per_pe.items():
+            ivs.sort(key=lambda iv: iv.start)
+            starts = [iv.start for iv in ivs]
+            ends = [iv.end for iv in ivs]
+            prefix = [0.0]
+            acc = 0.0
+            for iv in ivs:
+                acc += iv.duration
+                prefix.append(acc)
+            index[pe] = (starts, ends, prefix)
+        self._index = index
+        self._index_len = len(self.intervals)
+        return index
+
+    def busy_during(self, pe: int, start: float, end: float) -> float:
+        """Total time *pe* spent executing within the window [start, end].
+
+        This is the workhorse of the overlap tests: after identifying a
+        WAN message's in-flight window from the message events, the tests
+        assert the destination PE was busy during it — i.e. the latency
+        was *masked* by other objects' work, which is the paper's thesis.
+
+        O(log n) per query via a per-PE sorted index with duration
+        prefix sums (a PE's intervals never overlap — the recording API
+        enforces one open execution per PE in monotonic time — so the
+        intervals intersecting a window form a contiguous run).
+        """
+        self._require_data()
+        entry = self._pe_index().get(pe)
+        if entry is None or end <= start:
+            return 0.0
+        starts, ends, prefix = entry
+        # First interval ending after the window opens ...
+        lo = bisect_right(ends, start)
+        # ... through the last interval starting before it closes.
+        hi = bisect_left(starts, end)
+        if lo >= hi:
+            return 0.0
+        total = prefix[hi] - prefix[lo]
+        # Clip the boundary intervals to the window.
+        if starts[lo] < start:
+            total -= start - starts[lo]
+        if ends[hi - 1] > end:
+            total -= ends[hi - 1] - end
+        return total
+
+    def wan_flight_windows(self) -> List[Tuple[float, float, int, int]]:
+        """Return ``(send_time, deliver_time, src_pe, dst_pe)`` for every
+        message that crossed the wide-area link.
+
+        Events carrying a message sequence id are paired *by id*, so the
+        windows stay correct when jitter or retransmission delivers
+        messages out of send order (FIFO pairing would silently cross
+        them).  A retransmitted id contributes one window from its first
+        send to its first delivery; duplicate deliveries are ignored.
+        Legacy events without an id fall back to FIFO pairing per
+        (src, dst) pair.
+        """
+        self._require_data()
+        fifo: Dict[Tuple[int, int], List[float]] = {}
+        first_send: Dict[Tuple[int, int, int], float] = {}
+        emitted: set = set()
+        windows: List[Tuple[float, float, int, int]] = []
+        for ev in self.messages:
+            if not ev.crossed_wan:
+                continue
+            if ev.kind == "send":
+                if ev.seq is None:
+                    fifo.setdefault((ev.src_pe, ev.dst_pe),
+                                    []).append(ev.time)
+                else:
+                    first_send.setdefault(
+                        (ev.src_pe, ev.dst_pe, ev.seq), ev.time)
+            elif ev.kind == "deliver":
+                if ev.seq is None:
+                    queue = fifo.get((ev.src_pe, ev.dst_pe))
+                    if queue:
+                        windows.append((queue.pop(0), ev.time,
+                                        ev.src_pe, ev.dst_pe))
+                else:
+                    key = (ev.src_pe, ev.dst_pe, ev.seq)
+                    if key in first_send and key not in emitted:
+                        emitted.add(key)
+                        windows.append((first_send[key], ev.time,
+                                        ev.src_pe, ev.dst_pe))
+        return windows
+
+    def top_wire_messages(self, k: int = 10) -> List[HopEvent]:
+        """The *k* wire copies with the largest send-to-arrival time.
+
+        Ties break deterministically toward the earlier-recorded event.
+        """
+        self._require_data()
+        order = sorted(range(len(self.hops)),
+                       key=lambda i: (-self.hops[i].wire_time, i))
+        return [self.hops[i] for i in order[:k]]
+
+    def hop_ledgers(self) -> Dict[Tuple[Optional[int], float], HopLedger]:
+        """``(seq, arrival) -> ledger`` for causal/critical-path lookup.
+
+        The arrival time disambiguates duplicate wire copies of one
+        sequence id (ARQ retransmissions, fault-injected dups); the
+        delivery event the causal graph pairs against carries the same
+        float, so lookups are exact.
+        """
+        self._require_data()
+        out: Dict[Tuple[Optional[int], float], HopLedger] = {}
+        for ev in self.hops:
+            out.setdefault((ev.seq, ev.arrival), ev.hops)
+        return out
+
+    def timeline(self, pes: Optional[Iterable[int]] = None
+                 ) -> Dict[int, List[ExecInterval]]:
+        """Per-PE chronologically sorted execution intervals."""
+        self._require_data()
+        wanted = set(pes) if pes is not None else None
+        out: Dict[int, List[ExecInterval]] = {}
+        for iv in self.intervals:
+            if wanted is not None and iv.pe not in wanted:
+                continue
+            out.setdefault(iv.pe, []).append(iv)
+        for lst in out.values():
+            lst.sort(key=lambda iv: iv.start)
+        return out
+
+    def render_timeline(self, width: int = 72,
+                        pes: Optional[Iterable[int]] = None) -> str:
+        """ASCII rendering of per-PE busy intervals (Figure-2 style).
+
+        Each PE gets a row of *width* characters; ``#`` marks busy time,
+        ``.`` idle time.  Intended for examples and debugging, not parsing.
+        """
+        tl = self.timeline(pes)
+        if not tl:
+            return "(empty trace)"
+        start = min(iv.start for ivs in tl.values() for iv in ivs)
+        end = max(iv.end for ivs in tl.values() for iv in ivs)
+        span = max(end - start, 1e-12)
+        lines = []
+        for pe in sorted(tl):
+            row = ["."] * width
+            for iv in tl[pe]:
+                lo = int((iv.start - start) / span * (width - 1))
+                hi = int((iv.end - start) / span * (width - 1))
+                for i in range(lo, hi + 1):
+                    row[i] = "#"
+            lines.append(f"PE{pe:>3} |" + "".join(row) + "|")
+        return "\n".join(lines)

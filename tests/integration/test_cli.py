@@ -78,7 +78,8 @@ def test_demo_json():
 
 
 def test_trace_text_report():
-    code, text = run_cli(["trace", "--pes", "4", "--objects", "16",
+    code, text = run_cli(["inspect", "--view", "trace",
+                          "--pes", "4", "--objects", "16",
                           "--latency", "8", "--steps", "4"])
     assert code == 0
     assert "Latency-masking report" in text
@@ -87,7 +88,8 @@ def test_trace_text_report():
 
 
 def test_trace_json_report():
-    code, text = run_cli(["trace", "--pes", "4", "--objects", "16",
+    code, text = run_cli(["inspect", "--view", "trace",
+                          "--pes", "4", "--objects", "16",
                           "--latency", "8", "--steps", "4", "--json"])
     assert code == 0
     doc = json.loads(text)
@@ -102,9 +104,10 @@ def test_trace_exports_valid_files(tmp_path):
 
     trace_path = tmp_path / "run.trace.json"
     events_path = tmp_path / "run.events.jsonl"
-    code, _ = run_cli(["trace", "--pes", "4", "--objects", "16",
+    code, _ = run_cli(["inspect", "--view", "trace",
+                       "--pes", "4", "--objects", "16",
                        "--latency", "4", "--steps", "3",
-                       "--out", str(trace_path),
+                       "--trace-out", str(trace_path),
                        "--events-out", str(events_path)])
     assert code == 0
     doc = json.loads(trace_path.read_text())
@@ -119,7 +122,8 @@ def test_trace_exports_valid_files(tmp_path):
 
 
 def test_trace_leanmd():
-    code, text = run_cli(["trace", "--app", "leanmd", "--pes", "4",
+    code, text = run_cli(["inspect", "--view", "trace",
+                          "--app", "leanmd", "--pes", "4",
                           "--steps", "2", "--json"])
     assert code == 0
     assert json.loads(text)["app"] == "leanmd"
@@ -127,9 +131,26 @@ def test_trace_leanmd():
 
 def test_trace_rejects_bad_pes_and_latency():
     with pytest.raises(SystemExit):
-        run_cli(["trace", "--pes", "3"])
+        run_cli(["inspect", "--view", "trace", "--pes", "3"])
     with pytest.raises(SystemExit):
-        run_cli(["trace", "--latency", "-1"])
+        run_cli(["inspect", "--view", "trace", "--latency", "-1"])
+
+
+@pytest.mark.parametrize("view, expect", [("health", "Health"),
+                                          ("objview", "advisor: direction=")])
+def test_inspect_text_views(view, expect, tmp_path):
+    events = tmp_path / "health.jsonl"
+    code, text = run_cli(["inspect", "--view", view, "--pes", "4",
+                          "--objects", "16", "--mesh", "256", "--steps", "4",
+                          "--health-out", str(events)])
+    assert code == 0 and expect in text
+    assert events.exists()
+
+
+def test_run_and_render_subcommands_folded_into_inspect():
+    for old in ("trace", "critpath", "health", "netview", "objview"):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([old])
 
 
 def test_parser_requires_command():

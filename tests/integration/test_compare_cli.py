@@ -23,7 +23,8 @@ def run_cli(argv):
     return code, out.getvalue()
 
 
-CRITPATH_ARGS = ["critpath", "--pes", "4", "--objects", "16",
+CRITPATH_ARGS = ["inspect", "--view", "critpath",
+                 "--pes", "4", "--objects", "16",
                  "--mesh", "256", "--steps", "4", "--latency", "2"]
 
 
@@ -62,7 +63,8 @@ def test_critpath_ledger_out_writes_schema2_records(ledger, tmp_path):
 def test_netview_ledger_out_carries_net_rollup(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     path = tmp_path / "nv.json"
-    code, _ = run_cli(["netview", "--pes", "4", "--objects", "16",
+    code, _ = run_cli(["inspect", "--view", "netview",
+                       "--pes", "4", "--objects", "16",
                        "--mesh", "256", "--steps", "4", "--latency", "2",
                        "--ledger-out", str(path)])
     assert code == 0

@@ -113,14 +113,16 @@ def run_cli(argv):
 
 
 def test_cli_critpath_text_and_json():
-    code, text = run_cli(["critpath", "--pes", "4", "--objects", "16",
+    code, text = run_cli(["inspect", "--view", "critpath",
+                          "--pes", "4", "--objects", "16",
                           "--mesh", "256", "--steps", "5",
                           "--latency", "0", "--grid", "0", "4", "32"])
     assert code == 0
     assert "Critical path (steady state)" in text
     assert "predicted knee" in text
 
-    code, text = run_cli(["critpath", "--pes", "4", "--objects", "16",
+    code, text = run_cli(["inspect", "--view", "critpath",
+                          "--pes", "4", "--objects", "16",
                           "--mesh", "256", "--steps", "5",
                           "--latency", "0", "--grid", "0", "4", "32",
                           "--per-step", "--json"])
@@ -134,9 +136,10 @@ def test_cli_critpath_text_and_json():
 
 def test_cli_critpath_writes_trace_with_flows(tmp_path):
     path = tmp_path / "run.trace.json"
-    code, _text = run_cli(["critpath", "--pes", "4", "--objects", "16",
+    code, _text = run_cli(["inspect", "--view", "critpath",
+                           "--pes", "4", "--objects", "16",
                            "--mesh", "256", "--steps", "5",
-                           "--latency", "2", "--out", str(path)])
+                           "--latency", "2", "--trace-out", str(path)])
     assert code == 0
     doc = json.loads(path.read_text())
     assert any(e.get("ph") == "s" and e.get("cat") == "causal"

@@ -96,11 +96,23 @@ def test_governor_recovery_restores_environment_ladder():
     gov.add_cost_source("test", lambda: state["cost"])
 
     # Overspend: two checks walk full -> sampling -> counters and the
-    # environment callbacks switch off tracing, recording, aggregation.
-    for i in range(2):
-        state["t"] += 1.0
-        state["cost"] += 0.9
-        gov.check(float(i))
+    # environment callbacks switch off raw-event storage, then recording
+    # and the whole sink.  At "sampling" the fold keeps running.
+    state["t"] += 1.0
+    state["cost"] += 0.9
+    gov.check(0.0)
+    assert gov.level == "sampling"
+    assert env.aggregator is env.tracer
+    assert env.tracer.enabled and not env.tracer.storing
+    gov.budget = None                  # hold the level while the app runs
+    run_stencil(env, (64, 64), 16, steps=2)
+    gov.budget = 0.10
+    assert env.tracer.pe_usage()[0].executions > 0   # still folded ...
+    assert env.tracer.intervals == []                # ... but not stored
+    assert env.tracer.messages == [] and env.tracer.hops == []
+    state["t"] += 1.0
+    state["cost"] += 0.9
+    gov.check(1.0)
     assert gov.level == "counters"
     assert not env.tracer.enabled
     assert not env.sampler.recording
@@ -116,6 +128,7 @@ def test_governor_recovery_restores_environment_ladder():
         ticks += 1
     assert gov.level == "full"
     assert env.tracer.enabled          # trace was requested at build time
+    assert env.tracer.storing
     assert env.sampler.recording
     assert env.aggregator.enabled
     transitions = [e.severity for e in gov.events]
@@ -131,7 +144,7 @@ def test_governor_recovery_respects_trace_not_requested():
     env._obs_to_counters()
     env._obs_recover_sampling()
     env._obs_recover_full()
-    assert not env.tracer.enabled
+    assert not env.tracer.enabled and not env.tracer.storing
     assert env.sampler.recording
     assert env.aggregator.enabled
 

@@ -3,16 +3,16 @@ relay attribution, per-link Chrome lanes, sink agreement.
 
 The acceptance bars exercised here, on test-suite-sized configs:
 
-* the ``repro netview`` command works in text, ``--json`` (validated by
-  the CI schema gate's own checker) and ``--trace-out`` modes;
+* ``repro inspect --view netview`` works in text, ``--json`` (validated
+  by the CI schema gate's own checker) and ``--trace-out`` modes;
 * on the Figure-3c collective benchmark, hierarchical routing over
   striped WAN streams lowers the busiest WAN lane's busy time versus
   flat fan-out at **every** swept latency;
 * a hierarchical multicast run attributes ``<rts>``/relay span cost to
   ``relay_overhead`` on the critical path (never possible for the
   point-to-point stencil);
-* the post-hoc Tracer and the streaming TraceAggregator fold the same
-  run's hop ledgers into bit-identical per-lane usage.
+* a traced run and a stats-only run of the same configuration fold
+  bit-identical per-lane usage.
 """
 
 import importlib.util
@@ -45,8 +45,8 @@ def run_cli(argv):
     return code, out.getvalue()
 
 
-def run_collectives(latency_ms, routing, streams):
-    env = artificial_latency_env(PES, ms(latency_ms), trace=True,
+def run_collectives(latency_ms, routing, streams, trace=True):
+    env = artificial_latency_env(PES, ms(latency_ms), trace=trace,
                                  routing=routing, wan_streams=streams)
     t0 = env.now
     app = CollectiveBenchApp(env, objects=OBJECTS, payload_bytes=PAYLOAD)
@@ -56,7 +56,7 @@ def run_collectives(latency_ms, routing, streams):
 
 
 def max_wan_lane_busy(env):
-    links = env.tracer.link_summary()
+    links = env.aggregator.link_usage()
     wan = [u.busy_s for u in links.values() if u.wan]
     assert wan, "no WAN lanes recorded"
     return max(wan)
@@ -65,7 +65,8 @@ def max_wan_lane_busy(env):
 # -- CLI ----------------------------------------------------------------------
 
 def test_cli_netview_text():
-    code, text = run_cli(["netview", "--pes", "4", "--objects", "16",
+    code, text = run_cli(["inspect", "--view", "netview",
+                          "--pes", "4", "--objects", "16",
                           "--mesh", "256", "--steps", "4",
                           "--latency", "8"])
     assert code == 0
@@ -75,23 +76,23 @@ def test_cli_netview_text():
 
 def _load_schema_checker():
     path = (pathlib.Path(__file__).parents[2]
-            / "benchmarks" / "check_netview_schema.py")
-    spec = importlib.util.spec_from_file_location("check_netview_schema",
-                                                  path)
+            / "benchmarks" / "check_schema.py")
+    spec = importlib.util.spec_from_file_location("check_schema", path)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
 
 
 def test_cli_netview_json_passes_schema_gate():
-    code, text = run_cli(["netview", "--pes", "4", "--objects", "16",
+    code, text = run_cli(["inspect", "--view", "netview",
+                          "--pes", "4", "--objects", "16",
                           "--mesh", "256", "--steps", "4",
                           "--latency", "8", "--routing", "hierarchical",
                           "--streams", "4", "--json"])
     assert code == 0
     doc = json.loads(text)
     checker = _load_schema_checker()
-    net = checker.check(doc)        # raises SystemExit on any violation
+    net = checker.check_net(doc["net"])   # SystemExit on any violation
     assert net["wan_crossings"] > 0
     # Striping put the stream lanes on the books.
     assert any("/s" in lane for lane in net["lanes"])
@@ -99,7 +100,8 @@ def test_cli_netview_json_passes_schema_gate():
 
 def test_cli_netview_trace_out_has_network_lanes(tmp_path):
     path = tmp_path / "netview.trace.json"
-    code, _text = run_cli(["netview", "--pes", "4", "--objects", "16",
+    code, _text = run_cli(["inspect", "--view", "netview",
+                           "--pes", "4", "--objects", "16",
                            "--mesh", "256", "--steps", "4",
                            "--latency", "8", "--streams", "4",
                            "--trace-out", str(path)])
@@ -117,12 +119,10 @@ def test_cli_netview_trace_out_has_network_lanes(tmp_path):
 
 
 def test_cli_netview_rejects_bad_flags():
-    for argv in (["netview", "--pes", "3"],
-                 ["netview", "--latency", "-1"],
-                 ["netview", "--streams", "-2"],
-                 ["netview", "--top", "0"]):
+    for argv in (["--pes", "3"], ["--latency", "-1"], ["--streams", "-2"],
+                 ["--top", "0"]):
         with pytest.raises(SystemExit):
-            run_cli(argv)
+            run_cli(["inspect", "--view", "netview"] + argv)
 
 
 # -- Figure-3c link load ------------------------------------------------------
@@ -153,7 +153,8 @@ def test_relay_overhead_attributed_on_hierarchical_run():
 
 
 def test_stencil_run_has_no_relay_overhead():
-    code, text = run_cli(["critpath", "--pes", "4", "--objects", "16",
+    code, text = run_cli(["inspect", "--view", "critpath",
+                          "--pes", "4", "--objects", "16",
                           "--mesh", "256", "--steps", "5",
                           "--latency", "4", "--grid", "0", "4", "--json"])
     assert code == 0
@@ -165,8 +166,10 @@ def test_stencil_run_has_no_relay_overhead():
 
 def test_tracer_and_aggregator_fold_identical_lanes():
     env, _result, _boundaries = run_collectives(8.0, "hierarchical", 4)
-    batch = env.tracer.link_summary()
-    live = env.aggregator.link_usage()
+    stats_env, _result, _boundaries = run_collectives(8.0, "hierarchical", 4,
+                                                      trace=False)
+    batch = env.tracer.link_usage()
+    live = stats_env.aggregator.link_usage()
     assert set(live) == set(batch)
     for lane, bu in batch.items():
         assert live[lane].to_dict() == bu.to_dict()   # bit-identical

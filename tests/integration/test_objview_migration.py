@@ -3,8 +3,7 @@
 The fold keys profiles by ``str(ChareID)`` — a location-independent
 label — so when the load balancer moves a chare mid-run, new samples
 must keep accumulating in the *same* profile (follow the object, not
-the PE it happened to be on), and the streaming fold must stay
-bit-identical to the batch fold of the same recording.
+the PE it happened to be on).
 """
 
 import pytest
@@ -15,7 +14,7 @@ from repro.core.loadbalance import GreedyLB, RotateLB
 from repro.core.mapping import RoundRobinMapping
 from repro.core.method import entry
 from repro.grid.presets import artificial_latency_env, single_cluster_env
-from repro.obs.objview import ObjectView, fold_from_tracer
+from repro.obs.objview import ObjectView
 from repro.units import ms
 
 N = 8
@@ -93,11 +92,6 @@ def test_profiles_follow_object_across_rotate_lb():
         assert execs1 > execs0
         assert compute1 > compute0
 
-    # Streaming fold stays bit-identical to the batch fold under real
-    # migration traffic (migration messages carry no object labels).
-    assert env.aggregator.objview.to_dict() == \
-        fold_from_tracer(env.tracer).to_dict()
-
 
 def test_exactly_one_more_execution_per_object_after_rotate():
     """The post-migration round adds its executions to the old keys."""
@@ -144,8 +138,6 @@ def test_profiles_follow_object_across_greedy_lb():
     assert set(after) == set(before)
     for obj, (execs0, _c0) in before.items():
         assert after[obj][0] == execs0 + 1
-    assert env.aggregator.objview.to_dict() == \
-        fold_from_tracer(env.tracer).to_dict()
 
 
 def test_object_view_render_after_migration():

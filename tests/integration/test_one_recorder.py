@@ -1,0 +1,76 @@
+"""One recorder, one fold: full tracing is the stats fold plus storage.
+
+``GridEnvironment(trace=True)`` attaches a single
+:class:`~repro.sim.trace.Tracer` — a :class:`TraceAggregator` that also
+stores raw events — as both ``env.tracer`` and ``env.aggregator``.  A
+traced run must therefore report exactly what the same run reports with
+statistics only, and the stats-mode object fold must keep its record
+buffer bounded however long the run.
+"""
+
+from repro.apps.stencil import StencilApp
+from repro.grid.presets import artificial_latency_env
+from repro.obs.objview import ObjectView
+from repro.obs.report import build_report, netview_section
+from repro.sim import trace as trace_mod
+from repro.units import ms
+
+
+def _run(trace):
+    env = artificial_latency_env(8, ms(8.0), trace=trace,
+                                 routing="hierarchical", wan_streams=2)
+    result = StencilApp(env, mesh=(256, 256), objects=32,
+                        payload="modeled").run(4)
+    return env, result
+
+
+def test_full_and_stats_modes_agree():
+    full, full_result = _run(trace=True)
+    stats, stats_result = _run(trace=False)
+    assert full.aggregator is full.tracer
+    assert full.fabric.tracer is full.tracer   # no fanout in between
+    assert not stats.tracer.enabled
+    assert list(full_result.step_times) == list(stats_result.step_times)
+    assert build_report(full.aggregator).to_dict() == \
+        build_report(stats.aggregator).to_dict()
+    full_net = netview_section(full.tracer)
+    stats_net = netview_section(stats.aggregator)
+    assert full_net["lanes"] == stats_net["lanes"]
+    assert full_net["links"] == stats_net["links"]
+    assert full_net["top_messages"]           # stored hops only in full
+    assert "top_messages" not in stats_net
+    assert ObjectView.from_source(full.aggregator).to_dict() == \
+        ObjectView.from_source(stats.aggregator).to_dict()
+
+
+# -- bounded object-fold buffer (default stats mode) -------------------------
+
+def _long_stats_run(monkeypatch):
+    """A >= 1e5-event stats-mode stencil run; returns (env, buffer peak)."""
+    peak = [0]
+    drain = trace_mod.ObjectFold._drain
+
+    def watched(self):
+        peak[0] = max(peak[0], len(self._buf))
+        drain(self)
+
+    monkeypatch.setattr(trace_mod.ObjectFold, "_drain", watched)
+    env = artificial_latency_env(8, ms(8.0))
+    StencilApp(env, mesh=(512, 512), objects=1024,
+               payload="modeled").run(13)
+    # The buffer only grows between drains, so its peak is seen either
+    # just before a drain or at the end of the run.
+    return env, max(peak[0], len(env.aggregator.objview._buf))
+
+
+def test_object_buffer_bounded_and_drains_never_change_the_fold(
+        monkeypatch):
+    limit = trace_mod.OBJECT_BUFFER_LIMIT
+    bounded, peak = _long_stats_run(monkeypatch)
+    assert bounded.engine.events_processed >= 100_000
+    assert 0 < peak <= limit
+    monkeypatch.setattr(trace_mod, "OBJECT_BUFFER_LIMIT", float("inf"))
+    unbounded, peak = _long_stats_run(monkeypatch)
+    assert peak > limit          # this run really buffered to the end
+    assert ObjectView.from_source(bounded.aggregator).to_dict() == \
+        ObjectView.from_source(unbounded.aggregator).to_dict()

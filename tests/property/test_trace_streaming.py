@@ -1,31 +1,24 @@
-"""Streaming aggregation must exactly match batch trace analysis.
+"""Recorded hop ledgers stay consistent under every fault fate.
 
-:class:`~repro.sim.trace.TraceAggregator` folds the recording stream
-into running aggregates; :class:`~repro.sim.trace.Tracer` stores every
-event and analyses after the fact.  Benchmarks trust the streaming
-numbers, so here hypothesis generates randomized valid schedules —
-non-overlapping execution intervals per PE, WAN messages with drops,
-retransmissions, wire duplicates, and id-less legacy events — replays
-the identical event stream into both recorders, and checks that every
-derived statistic agrees.
+Hypothesis generates randomized valid recording streams — WAN messages
+with drops, retransmissions, wire duplicates, and id-less legacy
+events, each non-dropped wire copy with a hop ledger — replays them
+into a :class:`~repro.sim.trace.Tracer`
+and checks the stored flight-recorder records against the fabric's
+contract.
 
 Times are drawn on a 1/16 grid so all arithmetic is exact in binary
-floating point; the comparisons can therefore demand near-equality.
+floating point.
 """
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import pytest
-
 from repro.network.hops import HOP_KINDS, HopSpan
-from repro.obs.report import masked_latency_fraction
-from repro.sim.trace import TraceAggregator, Tracer
+from repro.sim.trace import Tracer
 
 COMMON = dict(deadline=None, max_examples=60,
               suppress_health_check=[HealthCheck.too_slow])
-
-APPROX = dict(rel=1e-9, abs=1e-12)
 
 #: (lane, owning link) pairs the synthetic hop ledgers draw from —
 #: the shape a striped two-cluster chain produces.
@@ -60,25 +53,14 @@ def _draw_ledger(draw, t0_ticks, t1_ticks):
 
 @st.composite
 def schedules(draw):
-    """A random valid recording stream: list of (time, op, args) events.
+    """A random valid message stream: list of (time, op, args) events.
 
-    Valid means what the engine guarantees: per-PE execution intervals
-    never overlap, every event's arguments are self-consistent, and the
-    whole stream is replayed in non-decreasing time order.
+    Valid means what the engine guarantees: every event's arguments are
+    self-consistent, and the whole stream is replayed in non-decreasing
+    time order.
     """
     n_pes = draw(st.integers(min_value=1, max_value=4))
     events = []
-
-    # Non-overlapping exec intervals per PE: pair up sorted unique ticks.
-    for pe in range(n_pes):
-        bounds = sorted(draw(st.lists(
-            st.integers(min_value=0, max_value=1600),
-            min_size=0, max_size=10, unique=True)))
-        for i in range(0, len(bounds) - 1, 2):
-            s, e = bounds[i] / 16.0, bounds[i + 1] / 16.0
-            entry = draw(st.sampled_from(["a", "b", "c"]))
-            events.append((s, "begin", (pe, s, "C", entry)))
-            events.append((e, "end", (pe, e)))
 
     # Messages: some WAN, some local; some dropped, retransmitted, or
     # delivered twice (wire duplicates); some without a sequence id.
@@ -157,23 +139,19 @@ def schedules(draw):
             events.append((td, "deliver", args + (sq,)))
 
     # Stable sort by time: simultaneous events keep their emission order,
-    # which preserves per-PE begin/end validity and send-before-deliver.
+    # which preserves send-before-deliver.
     events.sort(key=lambda ev: ev[0])
     return events
 
 
 def replay(events, sink):
     ops = {
-        "begin": sink.begin_execute,
-        "end": sink.end_execute,
         "send": sink.message_sent,
         "deliver": sink.message_delivered,
         "drop": sink.message_dropped,
     }
     for time, op, args in events:
-        if op in ("begin", "end"):
-            ops[op](*args)
-        elif op == "hops":
+        if op == "hops":
             src, dst, size, tag, wan, sq, arr, ledger, relay, att = args
             sink.message_hops(time, src, dst, size, tag, wan, sq, arr,
                               ledger, relay_hop=relay, arq_attempt=att)
@@ -181,87 +159,6 @@ def replay(events, sink):
             src, dst, size, tag, wan, sq = args
             ops[op](time, src, dst, size, tag, wan, seq=sq)
     return sink
-
-
-@given(schedules())
-@settings(**COMMON)
-def test_streaming_matches_batch(events):
-    batch = replay(events, Tracer())
-    live = replay(events, TraceAggregator())
-
-    # Makespan and per-PE usage.
-    assert live.makespan() == pytest.approx(batch.makespan(), **APPROX)
-    b_usage = batch.pe_usage()
-    l_usage = live.pe_usage()
-    assert set(l_usage) == set(b_usage)
-    for pe, bu in b_usage.items():
-        assert l_usage[pe].busy == pytest.approx(bu.busy, **APPROX)
-        assert l_usage[pe].executions == bu.executions
-
-    # Entry profiles.
-    b_prof = batch.profile_by_entry()
-    l_prof = live.profile_by_entry()
-    assert set(l_prof) == set(b_prof)
-    for key, bp in b_prof.items():
-        assert l_prof[key].calls == bp.calls
-        assert l_prof[key].total_time == pytest.approx(bp.total_time,
-                                                       **APPROX)
-
-    # WAN flight windows and the masked-latency fraction.
-    windows = batch.wan_flight_windows()
-    assert live.wan.windows == len(windows)
-    fraction, flight, masked = masked_latency_fraction(batch)
-    assert live.wan.flight_time == pytest.approx(flight, **APPROX)
-    assert live.wan.masked_time == pytest.approx(masked, **APPROX)
-    assert live.masked_latency_fraction == pytest.approx(fraction, **APPROX)
-
-
-@given(schedules())
-@settings(**COMMON)
-def test_streaming_counters_match_batch(events):
-    batch = replay(events, Tracer())
-    live = replay(events, TraceAggregator())
-
-    sends = [ev for ev in batch.messages if ev.kind == "send"]
-    delivers = [ev for ev in batch.messages if ev.kind == "deliver"]
-    drops = [ev for ev in batch.messages if ev.kind == "drop"]
-    assert live.sends == len(sends)
-    assert live.delivers == len(delivers)
-    assert live.drops == len(drops)
-    assert live.wan_sends == sum(1 for ev in sends if ev.crossed_wan)
-    assert live.wan_delivers == sum(1 for ev in delivers if ev.crossed_wan)
-    assert live.wan_drops == sum(1 for ev in drops if ev.crossed_wan)
-    assert live.bytes_sent == sum(ev.size for ev in sends)
-    assert live.wan_bytes_sent == sum(ev.size for ev in sends
-                                      if ev.crossed_wan)
-
-    # Open (never-delivered) windows: WAN sends that produced no window.
-    assert live.wan.open_windows >= 0
-
-
-@given(schedules())
-@settings(**COMMON)
-def test_link_folds_bit_identical(events):
-    """Both sinks fold hop ledgers into identical per-lane usage.
-
-    Exact ``==``, not approx: the post-hoc Tracer and the streaming
-    TraceAggregator share :func:`fold_hops` and see the same event
-    order, so every float sum must agree to the last bit — including
-    under drops, retransmissions, duplicates and reordered deliveries.
-    """
-    batch = replay(events, Tracer())
-    live = replay(events, TraceAggregator())
-
-    b_links = batch.link_summary()
-    l_links = live.link_usage()
-    assert set(l_links) == set(b_links)
-    for lane, bu in b_links.items():
-        lu = l_links[lane]
-        assert lu.to_dict() == bu.to_dict()
-        assert lu.depth_counts == bu.depth_counts
-        assert lu.wan == bu.wan
-    assert live.summary()["links"] == {
-        lane: bu.to_dict() for lane, bu in sorted(b_links.items())}
 
 
 @given(schedules())

@@ -101,7 +101,7 @@ def test_tracer_disabled_is_noop():
     tr.end_execute(0, 2.0)
     assert tr.intervals == []
     with pytest.raises(ValueError):
-        tr.makespan()
+        tr.busy_during(0, 0.0, 2.0)
 
 
 def test_tracer_pe_usage_and_makespan():

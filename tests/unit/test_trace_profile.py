@@ -57,8 +57,9 @@ def test_render_profile_aggregates_once(monkeypatch):
 
 
 def test_profile_requires_data():
+    """Stored-event queries on a tracer that stored nothing refuse."""
     with pytest.raises(ValueError):
-        Tracer(enabled=False).profile_by_entry()
+        Tracer(enabled=False).timeline()
 
 
 def test_profile_from_live_run():
