@@ -336,9 +336,53 @@ PDES_STEPS = 8
 PDES_SHARDS = 8
 
 
+#: Best-of reps timing the LeanMD pair kernel and its scalar loop.
+LEANMD_KERNEL_REPS = 50
+LEANMD_PERCELL_REPS = 3
+
+
+def _leanmd_kernel_speedup():
+    """Wall-clock ratio of the scalar double loop to the block kernel on
+    one 64-atom face-neighbour pair of the 4^3-cell LeanMD system (best
+    of a few reps each; forces agree within the property-test
+    tolerances)."""
+    import numpy as np
+
+    from repro.apps.leanmd import CellGrid, build_system, pair_forces
+    from repro.apps.leanmd.reference import pair_forces_percell
+
+    system = build_system(CellGrid((4, 4, 4)), 64)
+    a, b = system.cells[(0, 0, 0)], system.cells[(0, 0, 1)]
+    args = (a.positions, b.positions, a.charges, b.charges, system.box,
+            system.params)
+
+    def timed(kernel, reps):
+        best = float("inf")
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(reps):
+                t0 = time.perf_counter()
+                out = kernel(*args)
+                best = min(best, time.perf_counter() - t0)
+        finally:
+            gc.enable()
+        return best, out
+
+    kernel_s, (f_a, f_b, pot) = timed(pair_forces, LEANMD_KERNEL_REPS)
+    percell_s, (r_a, r_b, r_pot) = timed(pair_forces_percell,
+                                         LEANMD_PERCELL_REPS)
+    np.testing.assert_allclose(f_a, r_a, rtol=1e-10, atol=1e-8)
+    np.testing.assert_allclose(f_b, r_b, rtol=1e-10, atol=1e-8)
+    np.testing.assert_allclose(pot, r_pot, rtol=1e-10, atol=1e-10)
+    return {"wall_kernel_s": kernel_s, "wall_percell_s": percell_s,
+            "speedup": percell_s / kernel_s}
+
+
 def _kernel_speedup():
     """Wall-clock ratio of the per-cell reference loop to the numpy
-    block kernel on one real-payload run (virtual results bit-equal)."""
+    block kernel on one real-payload stencil run (virtual results
+    bit-equal), plus the LeanMD pair kernel's under ``leanmd``."""
     from repro.grid.presets import single_cluster_env
 
     def timed(kernel):
@@ -358,7 +402,8 @@ def _kernel_speedup():
     percell_s, percell_sum = timed("percell")
     assert numpy_sum == percell_sum, "kernel flavours diverged"
     return {"wall_numpy_s": numpy_s, "wall_percell_s": percell_s,
-            "speedup": percell_s / numpy_s}
+            "speedup": percell_s / numpy_s,
+            "leanmd": _leanmd_kernel_speedup()}
 
 
 def run_pdes(log_path, dedup=True):
@@ -436,7 +481,9 @@ def run_pdes(log_path, dedup=True):
           f"{eps_serial:.0f} ev/s, {sharded.shards} shards "
           f"{eps_sharded:.0f} ev/s ({speedup:.2f}x on {cores} cores, "
           f"{sharded.rounds} sync rounds); kernels numpy vs percell "
-          f"{kern['speedup']:.1f}x -> appended to {log_path}")
+          f"{kern['speedup']:.1f}x (stencil), "
+          f"{kern['leanmd']['speedup']:.1f}x (LeanMD pair) "
+          f"-> appended to {log_path}")
     print(f"trajectory digest {serial_digest[:16]} identical "
           f"serial/sharded")
     return 0

@@ -80,9 +80,10 @@ def pair_forces_percell(pos_a: np.ndarray, pos_b: np.ndarray,
 
     The ground truth the vectorized block kernel is validated against: a
     plain double loop over (i, j) atom pairs with minimum-image applied
-    per component.  Agreement with the broadcast tensor kernel is up to
-    summation reassociation only (row sums vs sequential accumulation),
-    which the equivalence tests bound tightly.
+    per component.  Agreement with the component-major, in-cutoff-only
+    block kernel is up to reassociation only (``r2``, the charge product
+    and the potential sum associate differently there), which the
+    equivalence tests bound tightly.
     """
     bx, by, bz = (float(box[0]), float(box[1]), float(box[2]))
     f_a = np.zeros_like(pos_a)

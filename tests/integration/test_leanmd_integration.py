@@ -25,9 +25,10 @@ def parallel_positions(res, grid):
                            for c in CellGrid(grid).cells()])
 
 
-def run_parallel(env, steps=STEPS):
+def run_parallel(env, steps=STEPS, pair_mapping=None):
     app = LeanMDApp(env, cells=GRID, atoms_per_cell=APC, payload="real",
-                    gather_positions=True, seed=SEED)
+                    gather_positions=True, seed=SEED,
+                    pair_mapping=pair_mapping)
     return app.run(steps)
 
 
@@ -70,10 +71,30 @@ def test_energy_approximately_conserved():
 
 
 def test_latency_never_changes_numerics(reference):
-    for latency in (0.0, 50.0):
-        res = run_parallel(artificial_latency_env(4, ms(latency)))
-        assert np.allclose(parallel_positions(res, GRID),
-                           reference.positions, atol=1e-10)
+    """Cells fold pair forces in sorted pair order, so final positions
+    and velocities are bit-identical at any latency, PE count and pair
+    mapping.  (Positions alone would not notice an arrival-order fold
+    here: dt scales its last-bit force differences below their ulp.)
+
+    Energies are not asserted: ``forces_from`` adds pair potentials in
+    arrival order and the cross-cell ``sum`` reduction combines partials
+    in arrival order, so ``kinetic`` and ``potential`` differ in the
+    last bits between these same configurations.
+    """
+    configs = [(pes, latency, None) for pes in (2, 4, 8)
+               for latency in (0.0, 50.0)]
+    configs += [(4, latency, "colocated") for latency in (0.0, 50.0)]
+    first = None
+    for pes, latency, mapping in configs:
+        res = run_parallel(artificial_latency_env(pes, ms(latency)),
+                           pair_mapping=mapping)
+        positions = parallel_positions(res, GRID)
+        assert np.allclose(positions, reference.positions, atol=1e-10)
+        state = np.concatenate([np.concatenate(res.final_state[c])
+                                for c in CellGrid(GRID).cells()])
+        if first is None:
+            first = state
+        assert np.array_equal(state, first), (pes, latency, mapping)
 
 
 def test_deterministic_across_runs():
