@@ -25,6 +25,9 @@ identical re-runs dedup unless ``--keep-dups``.
 The FIFO fast path (``MessageQueue`` on a deque instead of a heap) is
 part of what keeps the observability-off baseline honest: queue
 push/pop is O(1) with no key-tuple allocation on every message.
+The record's ``extra["kernel"]`` holds the wall-clock speedups of the
+numpy stencil block kernel and the LeanMD pair kernel over their
+per-cell reference loops (each checked to agree with its reference).
 
 Seeding or refreshing the committed baseline is the same command:
 
@@ -327,15 +330,6 @@ def run_broadcast_heavy(log_path, dedup=True):
     return 0
 
 
-#: Sharded-PDES smoke configuration: the ISSUE's scaling target shape —
-#: 8 clusters x 8 PEs (64 PEs), 1024 objects, 2 ms one-way WAN.
-PDES_CLUSTERS = (8,) * 8
-PDES_OBJECTS = 1024
-PDES_MESH = (2048, 2048)
-PDES_STEPS = 8
-PDES_SHARDS = 8
-
-
 #: Best-of reps timing the LeanMD pair kernel and its scalar loop.
 LEANMD_KERNEL_REPS = 50
 LEANMD_PERCELL_REPS = 3
@@ -383,7 +377,6 @@ def _kernel_speedup():
     """Wall-clock ratio of the per-cell reference loop to the numpy
     block kernel on one real-payload stencil run (virtual results
     bit-equal), plus the LeanMD pair kernel's under ``leanmd``."""
-    from repro.grid.presets import single_cluster_env
 
     def timed(kernel):
         env = single_cluster_env(4, stats=False)
@@ -406,89 +399,6 @@ def _kernel_speedup():
             "leanmd": _leanmd_kernel_speedup()}
 
 
-def run_pdes(log_path, dedup=True):
-    """Sharded-PDES smoke: serial vs 8-shard events/s on the big config.
-
-    Runs the 64-PE x 1024-object stencil serially (certification
-    ordering + shard log, wall-timed), then under 8 multiprocessing
-    shards, asserts the trajectories are bit-identical, and appends a
-    trajectory record (experiment ``perf-smoke-pdes``).  The bench diff
-    gates the *virtual* step time — bit-reproducible on any machine —
-    while the honest wall-clock numbers (core count, events/s both
-    modes, speedup) ride in ``extra`` for the scaling table.
-    """
-    from repro.grid.pdes import (
-        StencilPdesJob,
-        attach_shard_log,
-        run_sharded,
-    )
-    from repro.sim.shardlog import log_digest, merge_logs
-    from repro.units import ms as _ms
-
-    job = StencilPdesJob(cluster_sizes=PDES_CLUSTERS, latency=_ms(LATENCY_MS),
-                         mesh=PDES_MESH, objects=PDES_OBJECTS,
-                         steps=PDES_STEPS, payload="modeled")
-    env = job.environment()
-    env.engine.enable_ordered_ties()
-    log = attach_shard_log(env)
-    job.launch(env)
-    gc.collect()
-    gc.disable()
-    try:
-        t0 = time.perf_counter()
-        env.run()
-        serial_wall = time.perf_counter() - t0
-    finally:
-        gc.enable()
-    result = job.collect(env)
-    serial_events = env.engine.events_processed
-    serial_digest = log_digest(merge_logs([log]))
-
-    sharded = run_sharded(job, PDES_SHARDS, parallel=True)
-    if sharded.digest != serial_digest:
-        raise SystemExit("sharded trajectory diverged from serial "
-                         f"({sharded.digest[:16]} != {serial_digest[:16]})")
-
-    cores = os.cpu_count() or 1
-    eps_serial = serial_events / serial_wall
-    eps_sharded = sharded.events / sharded.wall_s
-    speedup = eps_sharded / eps_serial
-    kern = _kernel_speedup()
-
-    point = ExperimentPoint(
-        experiment="perf-smoke-pdes", app="stencil",
-        environment="artificial", pes=sum(PDES_CLUSTERS),
-        objects=PDES_OBJECTS, latency_ms=LATENCY_MS,
-        time_per_step=result.time_per_step, steps=PDES_STEPS,
-        extra={"mesh": list(PDES_MESH)})
-    os.environ[BENCH_LOG_ENV] = log_path
-    maybe_log_trajectory(point, result, env, dedup=dedup,
-                         extra={"pdes": {
-                             "cores": cores,
-                             "shards": sharded.shards,
-                             "rounds": sharded.rounds,
-                             "events": serial_events,
-                             "trajectory_digest": serial_digest,
-                             "wall_serial_s": serial_wall,
-                             "wall_sharded_s": sharded.wall_s,
-                             "events_per_sec_serial": eps_serial,
-                             "events_per_sec_sharded": eps_sharded,
-                             "speedup": speedup,
-                             "kernel": kern,
-                         }})
-    print(f"perf-smoke-pdes: {result.time_per_step * 1e3:.3f} ms/step "
-          f"(virtual), {serial_events} events; serial "
-          f"{eps_serial:.0f} ev/s, {sharded.shards} shards "
-          f"{eps_sharded:.0f} ev/s ({speedup:.2f}x on {cores} cores, "
-          f"{sharded.rounds} sync rounds); kernels numpy vs percell "
-          f"{kern['speedup']:.1f}x (stencil), "
-          f"{kern['leanmd']['speedup']:.1f}x (LeanMD pair) "
-          f"-> appended to {log_path}")
-    print(f"trajectory digest {serial_digest[:16]} identical "
-          f"serial/sharded")
-    return 0
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--log", default=DEFAULT_PATH,
@@ -501,10 +411,6 @@ def main(argv=None):
     parser.add_argument("--broadcast-heavy", action="store_true",
                         help="run only the broadcast-heavy collective "
                              "smoke (hierarchical routing + striped WAN)")
-    parser.add_argument("--pdes", action="store_true",
-                        help="run only the sharded-PDES smoke: serial vs "
-                             "8-shard events/s on the 64-PE x 1024-object "
-                             "stencil, with bit-identity certification")
     parser.add_argument("--keep-dups", action="store_true",
                         help="append the trajectory record even when it "
                              "is identical to the file's last one "
@@ -513,9 +419,6 @@ def main(argv=None):
 
     if args.broadcast_heavy:
         return run_broadcast_heavy(args.log, dedup=not args.keep_dups)
-
-    if args.pdes:
-        return run_pdes(args.log, dedup=not args.keep_dups)
 
     if args.events_per_second:
         eps = measure_events_per_second()
@@ -547,6 +450,7 @@ def main(argv=None):
     obs = measure_obs_overhead()
     eps = measure_events_per_second()
     allocs = measure_allocations()
+    kern = _kernel_speedup()
 
     point = ExperimentPoint(
         experiment="perf-smoke", app="stencil", environment="artificial",
@@ -560,7 +464,8 @@ def main(argv=None):
                          dedup=not args.keep_dups,
                          extra={"obs_overhead": obs,
                                 "events_per_sec": eps,
-                                "allocations": allocs})
+                                "allocations": allocs,
+                                "kernel": kern})
 
     print(f"perf-smoke: {result.time_per_step * 1e3:.3f} ms/step, "
           f"masked {env.aggregator.masked_latency_fraction:.3f}, "
@@ -579,6 +484,8 @@ def main(argv=None):
           f"({obs['full_vs_off']:+.1%} vs off); "
           f"self-reported obs.overhead_fraction "
           f"{obs['overhead_fraction_sampling']:.4f}")
+    print(f"kernels numpy vs percell: {kern['speedup']:.1f}x (stencil), "
+          f"{kern['leanmd']['speedup']:.1f}x (LeanMD pair)")
     # Acceptance bars: the flight recorder + telemetry sampler at
     # ``sampling`` detail must stay under 5 % marginal wall-clock cost
     # on top of the streaming-stats baseline — and so must the wall-clock

@@ -85,20 +85,13 @@ class StencilApp:
     kernel:
         Jacobi arithmetic flavor (``"numpy"`` block kernel or
         ``"percell"`` scalar reference; real payload only).
-    target_wrapper:
-        Optional callable applied to each reduction callback before it
-        is handed to the blocks.  The sharded runner uses this to swap
-        the app's bound methods for picklable stand-ins that cross
-        process boundaries inside ``ReductionMsg`` payloads; serial runs
-        leave it ``None`` and the callbacks travel as-is.
     """
 
     def __init__(self, env: GridEnvironment, mesh: Tuple[int, int] = (2048, 2048),
                  objects: int = 64, payload: str = "real",
                  costs: Optional[StencilCostModel] = None,
                  mapping=None, seed: int = 0,
-                 gather_mesh: bool = False, kernel: str = "numpy",
-                 target_wrapper=None) -> None:
+                 gather_mesh: bool = False, kernel: str = "numpy") -> None:
         self.env = env
         self.decomp = BlockDecomposition.regular(mesh, objects)
         self.payload = payload
@@ -107,10 +100,7 @@ class StencilApp:
         self.seed = seed
         self.gather_mesh = gather_mesh
         self.kernel = kernel
-        self.target_wrapper = target_wrapper
         self._results: Dict[str, object] = {}
-        self._t0 = 0.0
-        self._warmup = 0
 
     # -- reduction callbacks -------------------------------------------------
 
@@ -125,13 +115,8 @@ class StencilApp:
 
     # -- the run ---------------------------------------------------------------
 
-    def launch(self, steps: int, warmup: Optional[int] = None) -> None:
-        """Build the chare array and send the start broadcast.
-
-        The run itself is driven by the caller — ``env.run()`` serially,
-        or the sharded sync loop — and :meth:`collect` then assembles the
-        measurements.  :meth:`run` chains all three for the common case.
-        """
+    def run(self, steps: int, warmup: Optional[int] = None) -> StencilResult:
+        """Execute *steps* Jacobi iterations; returns the measurements."""
         if steps <= 0:
             raise ConfigurationError(f"steps must be positive, got {steps}")
         if warmup is None:
@@ -153,8 +138,6 @@ class StencilApp:
 
         decomp = self.decomp
         targets = (self._on_times, self._on_checksum, self._on_mesh)
-        if self.target_wrapper is not None:
-            targets = tuple(self.target_wrapper(cb) for cb in targets)
 
         def args_of(idx):
             bi, bj = idx
@@ -171,17 +154,14 @@ class StencilApp:
         blocks = self.env.runtime.create_array(
             StencilBlock, decomp.indices(), mapping, args_of=args_of)
 
-        self._t0 = self.env.now
-        self._warmup = warmup
+        t0 = self.env.now
         blocks.start()
+        self.env.run()
 
-    def collect(self) -> StencilResult:
-        """Assemble the :class:`StencilResult` after the run completed."""
         if "times" not in self._results:
             raise ConfigurationError(
                 "run ended without completing (deadlock or zero blocks?)")
-        times = (np.asarray(self._results["times"], dtype=np.float64)
-                 - self._t0)
+        times = np.asarray(self._results["times"], dtype=np.float64) - t0
 
         final_mesh = None
         if self.gather_mesh and self.payload == "real":
@@ -191,15 +171,9 @@ class StencilApp:
             step_times=times,
             checksum=float(self._results.get("checksum", 0.0)),
             final_mesh=final_mesh,
-            makespan=self.env.now - self._t0,
-            warmup=self._warmup,
+            makespan=self.env.now - t0,
+            warmup=warmup,
         )
-
-    def run(self, steps: int, warmup: Optional[int] = None) -> StencilResult:
-        """Execute *steps* Jacobi iterations; returns the measurements."""
-        self.launch(steps, warmup=warmup)
-        self.env.run()
-        return self.collect()
 
     def _reassemble(self, pairs: List) -> np.ndarray:
         mesh = np.zeros((self.decomp.mesh_rows, self.decomp.mesh_cols))

@@ -123,41 +123,8 @@ def stencil_point(experiment: str, pes: int, objects: int,
                   mesh: Tuple[int, int] = (2048, 2048),
                   steps: int = DEFAULT_STEPS, payload: str = "modeled",
                   environment: str = "artificial",
-                  seed: int = 0, kernel: str = "numpy",
-                  engine_shards: int = 0) -> ExperimentPoint:
-    """Run one stencil configuration and record the result.
-
-    ``engine_shards >= 1`` routes the run through the sharded
-    conservative-PDES engine (:func:`repro.grid.pdes.run_sharded`) on
-    the equivalent two-cluster topology.  The trajectory is certified
-    bit-identical to serial, so the measured point is the same — the
-    knob exists for scaling experiments and defense-in-depth digests
-    (``extra`` carries shard count, sync rounds and trajectory digest).
-    Shards here run in-process; true multi-core execution is the
-    perf-smoke ``--pdes`` benchmark's job (worker processes must not be
-    spawned from inside the executor's own process pool).
-    """
-    if engine_shards:
-        if environment != "artificial":
-            raise ValueError(
-                "engine_shards supports only the artificial environment")
-        from repro.grid.pdes import StencilPdesJob, run_sharded
-        half = pes // 2
-        job = StencilPdesJob(cluster_sizes=(half, pes - half),
-                             latency=ms(latency_ms_value), mesh=mesh,
-                             objects=objects, steps=steps,
-                             payload=payload, kernel=kernel, seed=seed)
-        sharded = run_sharded(job, engine_shards)
-        result = sharded.result
-        return ExperimentPoint(
-            experiment=experiment, app="stencil", environment=environment,
-            pes=pes, objects=objects, latency_ms=latency_ms_value,
-            time_per_step=result.time_per_step, steps=steps,
-            extra={"makespan": result.makespan,
-                   "mesh": list(mesh), "payload": payload,
-                   "engine_shards": sharded.shards,
-                   "sync_rounds": sharded.rounds,
-                   "trajectory_digest": sharded.digest})
+                  seed: int = 0, kernel: str = "numpy") -> ExperimentPoint:
+    """Run one stencil configuration and record the result."""
     if environment == "artificial":
         env = artificial_latency_env(pes, ms(latency_ms_value), seed=seed)
     elif environment == "teragrid":

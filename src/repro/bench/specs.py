@@ -56,10 +56,6 @@ class RunSpec:
     wan_streams: int = 0
     #: Broadcast payload for the collectives kinds, bytes.
     payload_bytes: int = 256 * 1024
-    #: Sharded-PDES engine: 0 (default) = the serial engine, >= 1 = run
-    #: under :func:`repro.grid.pdes.run_sharded` with that many shards
-    #: (clamped to the cluster count).  Stencil-only.
-    engine_shards: int = 0
     #: Stencil inner-loop flavour: "numpy" (block kernels, default) or
     #: "percell" (the per-cell reference loops — bit-identical results,
     #: orders of magnitude slower; for equivalence certification).
@@ -69,10 +65,6 @@ class RunSpec:
         if self.kind not in KINDS:
             raise ValueError(f"unknown spec kind {self.kind!r}; "
                              f"expected one of {KINDS}")
-        if self.engine_shards and self.kind != "stencil":
-            raise ValueError(
-                f"engine_shards applies only to stencil specs, "
-                f"not {self.kind!r}")
         if self.kernel != "numpy" and self.kind != "stencil":
             raise ValueError(
                 f"kernel applies only to stencil specs, not {self.kind!r}")
@@ -113,12 +105,9 @@ class RunSpec:
                 base["routing"] = self.routing
             if self.wan_streams != 0:
                 base["wan_streams"] = self.wan_streams
-        # Same pattern for the sharded engine and kernel flavour: at
-        # their defaults (serial engine, numpy kernels) the key material
-        # is unchanged, so every pre-existing RunCache digest and
-        # BENCH_critpath entry stays valid.
-        if self.engine_shards != 0:
-            base["engine_shards"] = self.engine_shards
+        # Same pattern for the kernel flavour: at its default (numpy
+        # kernels) the key material is unchanged, so every pre-existing
+        # RunCache digest and BENCH_critpath entry stays valid.
         if self.kernel != "numpy":
             base["kernel"] = self.kernel
         return base
@@ -148,7 +137,7 @@ class RunSpec:
                 self.experiment, self.pes, self.objects, self.latency_ms,
                 mesh=self.mesh, steps=self.steps, payload=self.payload,
                 environment=self.environment, seed=self.seed,
-                kernel=self.kernel, engine_shards=self.engine_shards)
+                kernel=self.kernel)
         if self.kind == "stencil-ampi":
             if self.environment != "artificial":
                 raise ValueError(

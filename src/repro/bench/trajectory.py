@@ -5,8 +5,9 @@ history, so regressions show up in review rather than in a rerun months
 later.  Each benchmarked run appends one small summary record — a config
 digest plus the headline numbers (median step time, masked-latency
 fraction, critical-path compute share) — to ``BENCH_critpath.json`` at
-the repo root; ``repro bench-diff`` compares two records (or the last
-two with matching digests) and flags >10 % step-time regressions.
+the repo root; ``repro bench-diff`` compares two records (by default
+the newest one against the most recent earlier record with its digest)
+and flags >10 % step-time regressions.
 
 The file is a JSON array of plain dicts: human-diffable and trivially
 loadable.  Append is read-modify-write, guarded against concurrent
@@ -278,20 +279,18 @@ def compare(baseline: RunRecord, candidate: RunRecord,
 def latest_pair(records: Sequence[RunRecord],
                 digest: Optional[str] = None
                 ) -> Optional[Tuple[RunRecord, RunRecord]]:
-    """The two most recent records sharing a digest (or the given one).
+    """The newest record (with the given digest) and its baseline.
 
-    Returns ``(baseline, candidate)`` with the candidate newest, or
-    ``None`` when no digest occurs twice.
+    The candidate is the newest record, or the newest one with
+    *digest*; the baseline is the most recent earlier record sharing
+    the candidate's digest.  Returns ``(baseline, candidate)``, or
+    ``None`` when the candidate has no earlier record to compare to.
     """
-    wanted = digest
-    if wanted is None:
-        seen: Dict[str, RunRecord] = {}
-        for rec in reversed(records):          # newest first
-            if rec.digest in seen:
-                return rec, seen[rec.digest]
-            seen[rec.digest] = rec
-        return None
-    matching = [r for r in records if r.digest == wanted]
+    if digest is None:
+        if not records:
+            return None
+        digest = records[-1].digest
+    matching = [r for r in records if r.digest == digest]
     if len(matching) < 2:
         return None
     return matching[-2], matching[-1]

@@ -264,8 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
     bd.add_argument("--path", default=None, metavar="FILE",
                     help="trajectory file (default BENCH_critpath.json)")
     bd.add_argument("--digest", default=None, metavar="HEX",
-                    help="compare the last two records with this config "
-                         "digest (default: last two sharing any digest)")
+                    help="compare the newest record with this config "
+                         "digest (default: the newest record) against "
+                         "the previous record with the same digest")
     bd.add_argument("--baseline", type=int, default=None, metavar="I",
                     help="explicit baseline record index (0-based)")
     bd.add_argument("--candidate", type=int, default=None, metavar="J",
@@ -681,7 +682,7 @@ def cmd_bench_diff(args, out) -> None:
         pair = trajectory.latest_pair(records, digest=args.digest)
         if pair is None:
             what = (f"digest {args.digest}" if args.digest
-                    else "any shared digest")
+                    else "the newest record's digest")
             raise SystemExit(
                 f"{path}: no two records with {what} to compare")
     threshold = (args.threshold if args.threshold is not None

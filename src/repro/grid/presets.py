@@ -161,9 +161,8 @@ def multi_cluster_env(cluster_sizes, latency: float, *, seed: int = 0,
 
     Same chain shape as :func:`artificial_latency_env` — the delay
     device injects *latency* between every cross-cluster pair — but over
-    ``len(cluster_sizes)`` clusters of the given sizes.  This is the
-    sharded-PDES benchmark topology: each cluster is one shard, and the
-    injected latency is the conservative lookahead window.
+    ``len(cluster_sizes)`` clusters of the given sizes.  The repo
+    benchmark's 64-PE stencil workloads run on eight clusters of eight.
     """
     if latency < 0:
         raise ConfigurationError(f"negative artificial latency {latency}")

@@ -126,15 +126,6 @@ class NetworkFabric:
         #: Cumulative cross-WAN wire copies put on the wire (denominator
         #: for the sampler's retransmit-rate series).
         self.wan_sent = 0
-        #: Sharded-PDES hooks, both ``None`` in serial runs (the hot
-        #: path then pays one predictable branch).  ``shard_owned`` is
-        #: the set of PEs this process simulates; ``shard_export`` takes
-        #: ``(arrival, msg, wire_bytes)`` for each wire copy bound for a
-        #: PE another shard owns.  Sends *from* a non-owned PE are
-        #: skipped entirely — every shard replays the identical launch
-        #: sequence, and the shard owning the source performs the send.
-        self.shard_owned = None
-        self.shard_export = None
 
     def send(self, msg: Message, deliver: DeliverFn) -> float:
         """Dispatch *msg*; *deliver* runs at the computed arrival time.
@@ -153,9 +144,6 @@ class NetworkFabric:
             # through, so declared sizes are validated once here instead
             # of in the per-message ``Message.__init__`` hot path.
             raise ValueError(f"negative message size {msg.size_bytes}")
-        owned = self.shard_owned
-        if owned is not None and msg.src_pe not in owned:
-            return math.inf
         now = self.engine.now
         msg.sent_at = now
         crossed_wan = self.topology.crosses_wan(msg.src_pe, msg.dst_pe)
@@ -225,14 +213,6 @@ class NetworkFabric:
                     arq_attempt=msg.arq_attempt)
             stats.record(route.transport.name, wire_msg.size_bytes,
                          route.pre_transport_delay)
-            if owned is not None and msg.dst_pe not in owned:
-                # Cross-shard copy: the send (chain stats, trace event,
-                # wan_sent) is accounted here; the owning shard injects
-                # the delivery and carries the in-flight gauges.
-                if crossed_wan:
-                    self.wan_sent += 1
-                self.shard_export(arrival, msg, wire_msg.size_bytes)
-                continue
             self.in_flight += 1
             if crossed_wan:
                 self.wan_in_flight += 1
@@ -240,52 +220,34 @@ class NetworkFabric:
             # Bound methods + args tuples, not per-copy closures: the
             # delivery post is once-per-wire-copy, so allocation here is
             # pure per-event overhead.
-            order = self._delivery_order(msg)
             if tracer is not None:
                 engine.post(arrival, self._deliver_traced,
                             args=(msg, arrival, wire_msg.size_bytes,
-                                  deliver), order=order)
+                                  deliver))
             else:
                 engine.post(arrival, self._deliver_plain,
-                            args=(msg, deliver), order=order)
+                            args=(msg, deliver))
         return first_arrival
 
-    def _delivery_order(self, msg: Message) -> Optional[tuple]:
-        """Tiebreak key for a delivery post (ordered-ties mode only).
-
-        ``(0, sent_at, src_pe, seq)`` is a pure function of the message,
-        identical whichever shard computes it: the ``0`` ranks deliveries
-        ahead of other same-instant events, ``sent_at`` reproduces the
-        serial property that deliveries post in send order, and the
-        sender's per-process ``seq`` orders same-source ties (every
-        source PE's messages are created by exactly one shard, in the
-        same relative order as serial).
-        """
-        if not self.engine._ordered:
-            return None
-        seq = msg.seq
-        return (0, msg.sent_at, msg.src_pe, -1 if seq is None else seq)
-
+    # Kept only because benchmarks/e2e/spans.py wraps it by name.
     def inject(self, arrival: float, msg: Message, wire_bytes: int,
                deliver: DeliverFn) -> None:
-        """Land a wire copy exported by another shard.
+        """Post the delivery of a wire copy whose transit is already known.
 
-        The sending shard already resolved the chain, charged transit and
-        recorded the send; this side only posts the delivery event (and
-        owns the in-flight gauges for the copy from now on).  *arrival*
-        is guaranteed ``>= engine.now`` by the conservative sync windows.
+        The chain, transit and send record are the caller's business;
+        this side only posts the delivery event and takes over the
+        in-flight gauges for the copy.  *arrival* must be
+        ``>= engine.now``.
         """
         self.in_flight += 1
         if msg.crossed_wan:
             self.wan_in_flight += 1
-        order = self._delivery_order(msg)
         if self.tracer is not None:
             self.engine.post(arrival, self._deliver_traced,
-                             args=(msg, arrival, wire_bytes, deliver),
-                             order=order)
+                             args=(msg, arrival, wire_bytes, deliver))
         else:
             self.engine.post(arrival, self._deliver_plain,
-                             args=(msg, deliver), order=order)
+                             args=(msg, deliver))
 
     def _deliver_plain(self, msg: Message, deliver: DeliverFn) -> None:
         """Fire one wire copy's arrival (tracing off)."""

@@ -1,9 +1,8 @@
 """Wall-clock self-profiler: where does *host* time go?
 
 Everything else in :mod:`repro.obs` measures the *simulated* clock; this
-module measures the simulator itself.  ROADMAP item 2 (real-parallel
-PDES, vectorized kernels) will be judged on host wall-clock, so the
-repository needs a first-party answer to "which layer is slow" that
+module measures the simulator itself.  Speed work (vectorized kernels,
+engine hot paths) is judged on host wall-clock, so the repository needs a first-party answer to "which layer is slow" that
 does not require strapping cProfile onto every run.
 
 :class:`WallProfiler` is a *stack-free* phase timer.  The engine's

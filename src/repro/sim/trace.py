@@ -23,7 +23,7 @@ in two sizes:
   time, causal graphs, export).  Memory grows with event count.
 
 :class:`TraceFanout` multiplexes one recording stream to several sinks
-(e.g. a run's recorder plus the sharded engine's event log).
+(e.g. a run's recorder plus a custom sink of the caller's).
 
 The trace is the raw material for
 
@@ -767,6 +767,7 @@ class TraceSink(Protocol):
                      arq_attempt: int = 0) -> None: ...
 
 
+# Kept only because benchmarks/e2e/spans.py wraps its methods by name.
 class TraceFanout:
     """Broadcasts recording calls to several sinks.
 

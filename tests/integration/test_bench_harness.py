@@ -138,26 +138,6 @@ def test_points_are_deterministic():
     assert a.time_per_step == b.time_per_step
 
 
-def test_stencil_point_sharded_engine_matches_serial():
-    # The engine_shards knob must not change the measurement: the
-    # sharded conservative engine is trajectory-certified against
-    # serial, so time_per_step is identical and the digest rides along.
-    serial = stencil_point("t", pes=4, objects=16, latency_ms_value=8.0,
-                           mesh=(48, 48), steps=5)
-    sharded = stencil_point("t", pes=4, objects=16, latency_ms_value=8.0,
-                            mesh=(48, 48), steps=5, engine_shards=2)
-    assert sharded.time_per_step == serial.time_per_step
-    assert sharded.extra["engine_shards"] == 2
-    assert sharded.extra["sync_rounds"] > 0
-    assert len(sharded.extra["trajectory_digest"]) == 64
-
-
-def test_stencil_point_sharded_rejects_teragrid():
-    with pytest.raises(ValueError):
-        stencil_point("t", 4, 16, 2.0, environment="teragrid",
-                      engine_shards=2)
-
-
 def test_stencil_point_percell_kernel_same_measurement():
     numpy_p = stencil_point("t", pes=2, objects=4, latency_ms_value=4.0,
                             mesh=(24, 24), steps=3, payload="real")

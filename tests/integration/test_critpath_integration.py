@@ -177,6 +177,32 @@ def test_cli_bench_diff(tmp_path, monkeypatch):
     assert err.value.code == 1
 
 
+def test_cli_bench_diff_gates_newest_record_not_newest_pair(tmp_path,
+                                                            monkeypatch):
+    from repro.bench.harness import BENCH_LOG_ENV, stencil_point
+
+    log = tmp_path / "traj.json"
+    monkeypatch.setenv(BENCH_LOG_ENV, str(log))
+    stencil_point("t", 4, 16, 0.0, mesh=(256, 256), steps=5)
+    stencil_point("t", 4, 16, 2.0, mesh=(256, 256), steps=5)
+    a, b = json.loads(log.read_text())
+    assert a["digest"] != b["digest"]
+
+    # A, B, B, A: the newest record (A, 2x slower than the earlier A) is
+    # the candidate, even though the B pair sits between them.
+    slow_a = dict(a, time_per_step_s=a["time_per_step_s"] * 2.0)
+    log.write_text(json.dumps([a, b, dict(b), slow_a]))
+    with pytest.raises(SystemExit) as err:
+        run_cli(["bench-diff", "--path", str(log)])
+    assert err.value.code == 1
+
+    # A newest record with no earlier same-digest record has no baseline.
+    log.write_text(json.dumps([b, dict(b), a]))
+    with pytest.raises(SystemExit) as err:
+        run_cli(["bench-diff", "--path", str(log)])
+    assert "no two records" in str(err.value.code)
+
+
 def test_cli_bench_diff_empty_log(tmp_path):
     with pytest.raises(SystemExit):
         run_cli(["bench-diff", "--path", str(tmp_path / "missing.json")])

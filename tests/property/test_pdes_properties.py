@@ -1,157 +1,38 @@
-"""Hypothesis property tests for the sharded conservative-PDES engine.
+"""Whole-run trajectory checks on the discrete-event engine.
 
-The headline invariant of ISSUE 10: sharding the event space changes
-*nothing observable* in virtual time.  For randomized multi-cluster
-topologies, WAN latencies, decompositions and seeds, every shard count
-must yield the exact trajectory digest of the ordered-ties serial
-baseline — and the deterministic merge of shard logs must replay into
-identical :class:`~repro.sim.trace.TraceAggregator` folds.
-
-Each example runs several whole simulations, so example counts are kept
-deliberately small (same budget as ``test_app_properties.py``).
+The stencil's two compute kernels (``numpy`` blocks and the ``percell``
+reference loop) must be interchangeable: the kernel flavour may change
+host time only, never a recorded event or a number the run produces.
 """
 
-import os
-
 import numpy as np
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.apps.stencil import StencilApp
-from repro.grid.pdes import (
-    StencilPdesJob,
-    run_serial_baseline,
-    run_sharded,
-)
-from repro.sim.shardlog import replay_into
-from repro.sim.trace import TraceAggregator
+from repro.grid.presets import multi_cluster_env
 from repro.units import ms
 
-PDES_SETTINGS = dict(max_examples=10, deadline=None,
-                     suppress_health_check=[HealthCheck.too_slow])
 
-#: Cluster layouts: 2- and 4-cluster grids, even and lopsided.
-TOPOLOGIES = [(2, 2), (1, 3), (3, 2), (2, 2, 2), (2, 4, 2, 4)]
-
-
-def _job(cluster_sizes, latency_ms_value, objects, steps, seed=0,
-         payload="modeled", mesh=(48, 48), kernel="numpy"):
-    return StencilPdesJob(cluster_sizes=tuple(cluster_sizes),
-                          latency=ms(latency_ms_value), mesh=mesh,
-                          objects=objects, steps=steps, payload=payload,
-                          kernel=kernel, seed=seed)
-
-
-def _fold(records):
-    """Shard-count-independent aggregate folds of a merged trajectory."""
-    agg = replay_into(TraceAggregator(), records)
-    return {"summary": agg.summary(), "makespan": agg.makespan(),
-            "pe_usage": agg.pe_usage(),
-            "profile": agg.profile_by_entry()}
-
-
-@given(
-    topology=st.sampled_from(TOPOLOGIES),
-    latency_ms=st.floats(min_value=2.0, max_value=64.0),
-    objects=st.sampled_from([4, 9, 16]),
-    steps=st.integers(min_value=2, max_value=4),
-    seed=st.integers(min_value=0, max_value=7),
-)
-@settings(**PDES_SETTINGS)
-def test_sharded_trajectory_bit_identical_to_serial(topology, latency_ms,
-                                                    objects, steps, seed):
-    """Any shard count, any topology/latency/seed -> one trajectory."""
-    job = _job(topology, latency_ms, objects, steps, seed)
-    baseline = run_serial_baseline(job)
-    assert baseline.records, "baseline recorded no events"
-    for shards in (1, 2, 4, 8):
-        sharded = run_sharded(job, shards)
-        assert sharded.shards <= len(topology)
-        assert sharded.digest == baseline.digest, (
-            f"trajectory diverged at {shards} shards "
-            f"(got {sharded.shards} after clamping)")
-        assert sharded.records == baseline.records
-        assert sharded.events == baseline.events
-        assert sharded.makespan == baseline.makespan
-        assert sharded.result.time_per_step == \
-            baseline.result.time_per_step
-
-
-@given(
-    topology=st.sampled_from([(2, 2), (2, 2, 2)]),
-    latency_ms=st.floats(min_value=2.0, max_value=32.0),
-    steps=st.integers(min_value=2, max_value=4),
-    seed=st.integers(min_value=0, max_value=5),
-)
-@settings(**PDES_SETTINGS)
-def test_shard_log_replay_folds_match_serial(topology, latency_ms, steps,
-                                             seed):
-    """Merged shard logs replay into the serial baseline's exact folds."""
-    job = _job(topology, latency_ms, objects=4, steps=steps, seed=seed)
-    baseline = run_serial_baseline(job)
-    sharded = run_sharded(job, len(topology))
-    assert _fold(sharded.records) == _fold(baseline.records)
-
-
-@given(
-    pes=st.sampled_from([2, 4, 6]),
-    steps=st.integers(min_value=2, max_value=4),
-    seed=st.integers(min_value=0, max_value=5),
-)
-@settings(**PDES_SETTINGS)
-def test_single_cluster_degenerate_clamps_to_one_shard(pes, steps, seed):
-    """Zero lookahead (one cluster, loopback-only) is legal: the planner
-    clamps to a single shard, which needs no conservative window."""
-    job = _job((pes,), latency_ms_value=4.0, objects=4, steps=steps,
-               seed=seed)
-    baseline = run_serial_baseline(job)
-    sharded = run_sharded(job, 8)
-    assert sharded.shards == 1
-    assert sharded.rounds == 0
-    assert sharded.digest == baseline.digest
-
-
-def test_real_payload_checksums_bit_equal_across_shards():
-    """With real numerics the sharded run must reproduce both the
-    ordered-ties serial baseline and a classic-engine app run, bit for
-    bit — ordered ties and sharding change scheduling keys, never
-    numerics or virtual time."""
-    job = _job((2, 2), 8.0, objects=4, steps=3, payload="real",
-               mesh=(24, 24))
-    baseline = run_serial_baseline(job)
-    sharded = run_sharded(job, 2)
-    assert sharded.digest == baseline.digest
-    assert sharded.result.checksum == baseline.result.checksum
-    # Classic engine (default int tie keys), same topology and app.
-    env = job.environment()
-    app = StencilApp(env, mesh=(24, 24), objects=4, payload="real")
-    classic = app.run(3)
-    assert classic.checksum == sharded.result.checksum
-    assert classic.time_per_step == sharded.result.time_per_step
+def _traced_run(kernel):
+    env = multi_cluster_env((2, 2), ms(8.0), seed=0, trace=True)
+    result = StencilApp(env, mesh=(24, 24), objects=4, payload="real",
+                        gather_mesh=True, kernel=kernel).run(2)
+    return env, result
 
 
 def test_percell_kernel_same_trajectory_and_checksum():
     """Kernel flavour must not leak into the trajectory: percell and
     numpy runs are bit-identical in both virtual time and numerics."""
-    numpy_run = run_serial_baseline(
-        _job((2, 2), 8.0, objects=4, steps=2, payload="real",
-             mesh=(24, 24), kernel="numpy"))
-    percell_run = run_serial_baseline(
-        _job((2, 2), 8.0, objects=4, steps=2, payload="real",
-             mesh=(24, 24), kernel="percell"))
-    assert numpy_run.digest == percell_run.digest
-    assert numpy_run.result.checksum == percell_run.result.checksum
-
-
-def test_multiprocessing_workers_match_serial():
-    """The parallel=True path (one OS process per shard) certifies the
-    same digest; worker count honours REPRO_PDES_WORKERS."""
-    shards = int(os.environ.get("REPRO_PDES_WORKERS", "2"))
-    clusters = max(2, min(8, shards))
-    job = _job((2,) * clusters, latency_ms_value=8.0, objects=4,
-               steps=2, seed=1)
-    baseline = run_serial_baseline(job)
-    sharded = run_sharded(job, shards, parallel=True)
-    assert sharded.digest == baseline.digest
-    assert sharded.events == baseline.events
-    assert np.isfinite(sharded.makespan)
+    numpy_env, numpy_run = _traced_run("numpy")
+    percell_env, percell_run = _traced_run("percell")
+    assert numpy_env.tracer.intervals
+    assert percell_env.tracer.intervals == numpy_env.tracer.intervals
+    assert percell_env.tracer.messages == numpy_env.tracer.messages
+    assert percell_env.tracer.hops == numpy_env.tracer.hops
+    assert (percell_env.engine.events_processed
+            == numpy_env.engine.events_processed)
+    np.testing.assert_array_equal(percell_run.step_times,
+                                  numpy_run.step_times)
+    assert percell_run.checksum == numpy_run.checksum
+    assert numpy_run.final_mesh is not None
+    np.testing.assert_array_equal(percell_run.final_mesh,
+                                  numpy_run.final_mesh)
