@@ -231,7 +231,7 @@ def check_compare(doc, require_neutral=False):
     _check_mapping("document", doc, {"residual_s": float,
                                      "all_neutral": bool,
                                      "config_changed": bool,
-                                     "phases": dict, "net": dict})
+                                     "net": dict})
     residual = doc["residual_s"]
     # The headline invariant: deltas + residual == total delta.
     if abs(total["delta_s"] - (delta_sum + residual)) > 1e-15:

@@ -12,16 +12,17 @@ then compares the fresh record against the committed baseline and fails
 the job on a >10 % step-time regression.
 
 The script also measures what observability itself costs: the same
-configuration is wall-clock timed with observability off, with the
-wall-clock self-profiler, with sampling-only telemetry, and with full
-tracing (best-of over round-robined repetitions; virtual-time results
-are identical in every mode, only wall time differs).  The measured
-ratios land in the trajectory record's ``extra["obs_overhead"]`` and
-feed the EXPERIMENTS.md overhead table; the sampler, the profiler and
-the per-object fold each carry a hard < 5 % marginal-cost bar.  The appended record is a
-schema-2 ledger record (critical-path decomposition + profiler phase
-shares included), so two perf-smoke runs are ``repro compare``-able;
-identical re-runs dedup unless ``--keep-dups``.
+configuration is wall-clock timed with observability off, with
+streaming stats (with and without the per-object fold), with
+sampling telemetry, and with full tracing (best-of over round-robined
+repetitions; virtual-time results are identical in every mode, only
+wall time differs).  The measured ratios land in the trajectory
+record's ``extra["obs_overhead"]`` and feed the EXPERIMENTS.md overhead
+table; the sampler and the per-object fold each carry a hard < 5 %
+marginal-cost bar.  The appended record is a schema-2 ledger record
+(critical-path decomposition included), so two perf-smoke runs are
+``repro compare``-able; identical re-runs dedup unless
+``--keep-dups``.
 The FIFO fast path (``MessageQueue`` on a deque instead of a heap) is
 part of what keeps the observability-off baseline honest: queue
 push/pop is O(1) with no key-tuple allocation on every message.
@@ -113,7 +114,7 @@ def _timed_run(**env_kwargs):
 def measure_obs_overhead():
     """Wall-clock cost of each observability level on the same run.
 
-    Four modes, cheapest first:
+    Five modes, cheapest first:
 
     * ``off`` — counters only (``stats=False``): no per-event sinks;
     * ``stats_noobj`` — streaming aggregation with the per-object fold
@@ -123,9 +124,6 @@ def measure_obs_overhead():
       trace event *including* the object fold, so
       ``objects_vs_stats`` is the object view's *marginal* cost (its
       own < 5 % acceptance bar);
-    * ``profile`` — ``stats`` plus the wall-clock self-profiler, so
-      ``profile_vs_stats`` is the profiler's *marginal* cost (its own
-      < 5 % acceptance bar);
     * ``sampling`` — ``stats`` plus the telemetry sampler, so
       ``sampling_vs_stats`` is the sampler's *marginal* cost (the < 5 %
       acceptance bar);
@@ -136,7 +134,6 @@ def measure_obs_overhead():
         "off": dict(stats=False),
         "stats_noobj": dict(stats=True, object_stats=False),
         "stats": dict(stats=True),
-        "profile": dict(stats=True, profile=True),
         "sampling": dict(stats=True, sampling=True),
         "full": dict(stats=True, sampling=True, trace=True),
     }
@@ -146,16 +143,19 @@ def measure_obs_overhead():
     for kwargs in modes.values():
         _timed_run(**kwargs)
     best = {name: None for name in modes}
-    sampling_env = None
+    # Event count is a virtual-time invariant: identical on every
+    # machine for this config, so events/wall is a clean cross-commit
+    # throughput metric.
+    events = None
 
     def _round():
-        nonlocal sampling_env
+        nonlocal events
         for name, kwargs in modes.items():
             dt, env = _timed_run(**kwargs)
             if best[name] is None or dt < best[name]:
                 best[name] = dt
             if name == "sampling":
-                sampling_env = env
+                events = env.engine.events_processed
 
     for _ in range(OBS_REPS):
         _round()
@@ -165,33 +165,23 @@ def measure_obs_overhead():
     # (one mode unlucky for a whole batch) from a true regression — a
     # real cost increase keeps failing no matter how many draws land.
     for _ in range(4 * OBS_REPS):
-        if (best["profile"] / best["stats"] - 1.0 < 0.05
-                and best["sampling"] / best["stats"] - 1.0 < 0.05
+        if (best["sampling"] / best["stats"] - 1.0 < 0.05
                 and best["stats"] / best["stats_noobj"] - 1.0 < 0.05):
             break
         _round()
     off_s, stats_s = best["off"], best["stats"]
     noobj_s = best["stats_noobj"]
     sampling_s, full_s = best["sampling"], best["full"]
-    profile_s = best["profile"]
-    snap = sampling_env.metrics.snapshot()
-    # Event count is a virtual-time invariant: identical in every mode
-    # and on every machine for this config, so events/wall is a clean
-    # cross-commit throughput metric.
-    events = sampling_env.engine.events_processed
     return {
         "wall_off_s": off_s,
         "wall_stats_noobj_s": noobj_s,
         "wall_stats_s": stats_s,
-        "wall_profile_s": profile_s,
         "wall_sampling_s": sampling_s,
         "wall_full_s": full_s,
         "stats_vs_off": stats_s / off_s - 1.0,
         "objects_vs_stats": stats_s / noobj_s - 1.0,
-        "profile_vs_stats": profile_s / stats_s - 1.0,
         "sampling_vs_stats": sampling_s / stats_s - 1.0,
         "full_vs_off": full_s / off_s - 1.0,
-        "overhead_fraction_sampling": snap["obs.overhead_fraction"],
         "events": events,
         "events_per_sec_off": events / off_s,
         "events_per_sec_stats": events / stats_s,
@@ -432,12 +422,7 @@ def main(argv=None):
               f"blocks/posted event")
         return 0
 
-    # The canonical run carries the self-profiler: its phase shares land
-    # in the trajectory record's ``profile`` (virtual time is
-    # bit-identical with it on; only wall time differs, and the marginal
-    # cost is measured and gated below).
-    env = artificial_latency_env(PES, ms(LATENCY_MS), trace=True,
-                                 profile=True)
+    env = artificial_latency_env(PES, ms(LATENCY_MS), trace=True)
     t0 = env.now
     app = StencilApp(env, mesh=MESH, objects=OBJECTS, payload="modeled")
     result = app.run(STEPS)
@@ -476,28 +461,20 @@ def main(argv=None):
           f"stats {obs['wall_stats_s'] * 1e3:.1f} ms "
           f"({obs['stats_vs_off']:+.1%} vs off, object fold "
           f"{obs['objects_vs_stats']:+.1%} of that), "
-          f"profiler {obs['wall_profile_s'] * 1e3:.1f} ms "
-          f"({obs['profile_vs_stats']:+.1%} vs stats), "
           f"sampling {obs['wall_sampling_s'] * 1e3:.1f} ms "
           f"({obs['sampling_vs_stats']:+.1%} vs stats), "
           f"full tracing {obs['wall_full_s'] * 1e3:.1f} ms "
-          f"({obs['full_vs_off']:+.1%} vs off); "
-          f"self-reported obs.overhead_fraction "
-          f"{obs['overhead_fraction_sampling']:.4f}")
+          f"({obs['full_vs_off']:+.1%} vs off)")
     print(f"kernels numpy vs percell: {kern['speedup']:.1f}x (stencil), "
           f"{kern['leanmd']['speedup']:.1f}x (LeanMD pair)")
     # Acceptance bars: the flight recorder + telemetry sampler at
     # ``sampling`` detail must stay under 5 % marginal wall-clock cost
-    # on top of the streaming-stats baseline — and so must the wall-clock
-    # self-profiler and the always-on per-object fold.
+    # on top of the streaming-stats baseline — and so must the always-on
+    # per-object fold.
     if obs["sampling_vs_stats"] >= 0.05:
         raise SystemExit(
             f"observability overhead regression: sampling costs "
             f"{obs['sampling_vs_stats']:+.1%} over stats (bar: < +5.0%)")
-    if obs["profile_vs_stats"] >= 0.05:
-        raise SystemExit(
-            f"observability overhead regression: the self-profiler costs "
-            f"{obs['profile_vs_stats']:+.1%} over stats (bar: < +5.0%)")
     if obs["objects_vs_stats"] >= 0.05:
         raise SystemExit(
             f"observability overhead regression: the per-object fold "

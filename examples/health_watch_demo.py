@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Watch a grid run's health live: alerts, sparklines, and the governor.
+"""Watch a grid run's health live: alerts and sparklines.
 
-Three short acts:
+Two short acts:
 
 1. **Masked regime** — 8 PEs, 1 ms WAN, high virtualization.  The
    runtime hides the latency; the watchdog stays silent.
@@ -9,16 +9,12 @@ Three short acts:
    ``1 - 1/1.5`` threshold and the ``unmasking`` alert fires online:
    the Figure-3 knee, observed live instead of post-hoc.  On a lossy
    WAN the ``retransmit-storm`` rule joins in.
-3. **Governor** — a traced run given an absurd observability budget.
-   The governor measures its own cost and walks the ladder
-   full -> sampling -> counters, logging each downgrade.
 
 Run:  python examples/health_watch_demo.py
 """
 
 from repro.apps.stencil import run_stencil
 from repro.grid import artificial_latency_env, lossy_wan_env
-from repro.obs.timeseries import SamplingPolicy
 from repro.units import ms
 
 MESH = (512, 512)
@@ -64,19 +60,6 @@ def main() -> None:
     res = run_stencil(env, (256, 256), OBJECTS, steps=4)
     print(f"  time/step {res.time_per_step_ms:.2f} ms")
     show_events(env)
-
-    act("Act 3: tiny budget -- the governor downgrades observability")
-    env = artificial_latency_env(
-        4, ms(2.0), trace=True, health=True,
-        sampling=SamplingPolicy(overhead_budget=1e-9))
-    run_stencil(env, (256, 256), 16, steps=4)
-    print(f"  final level: {env.governor.level!r} "
-          f"(tracer enabled: {env.tracer.enabled}, "
-          f"aggregator enabled: {env.aggregator.enabled})")
-    show_events(env)
-    print()
-    print("Every run also exports obs.overhead_fraction in its metrics")
-    print("snapshot, so the cost of watching is itself watched.")
 
 
 if __name__ == "__main__":

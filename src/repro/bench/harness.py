@@ -83,9 +83,8 @@ def maybe_log_trajectory(point: ExperimentPoint, result, env,
     on.  Records are schema-2 ledger records
     (:func:`repro.obs.ledger.build_run_record`): config digest, median
     steady-state step time, masked-latency fraction, net/health
-    roll-ups, the wall-clock profile when the environment ran with
-    ``profile=True``, and — when the caller passes *steps_attribution*
-    — the full critical-path decomposition.  *extra* entries merge into
+    roll-ups and — when the caller passes *steps_attribution* — the
+    full critical-path decomposition.  *extra* entries merge into
     the record's ``extra`` dict (the perf-smoke job stores its measured
     observability overheads there).
 

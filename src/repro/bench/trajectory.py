@@ -18,11 +18,11 @@ tearing the JSON.
 
 Records come in two schemas.  v1 carries the headline numbers only;
 v2 (``schema == 2``, built by :mod:`repro.obs.ledger`) additionally
-carries the full critical-path component decomposition (``critpath``)
-and the wall-clock phase profile (``profile``), which is what lets
-``repro compare`` explain *why* two runs differ instead of just that
-they do.  ``from_dict`` accepts both, so old trajectory files keep
-loading forever.
+carries the full critical-path component decomposition (``critpath``),
+which is what lets ``repro compare`` explain *why* two runs differ
+instead of just that they do.  ``from_dict`` accepts both and ignores
+keys it does not know, so old trajectory files keep loading forever;
+appends write earlier records back exactly as the file held them.
 
 Appends can deduplicate: with ``dedup=True`` a record identical to the
 file's last one (same digest and same deterministic metrics — virtual
@@ -83,15 +83,12 @@ class RunRecord:
     created: float = 0.0
     extra: Dict[str, Any] = field(default_factory=dict)
     #: Record schema: 1 = headline numbers only; 2 adds the critpath
-    #: decomposition and wall-clock profile (the run-ledger format).
+    #: decomposition (the run-ledger format).
     schema: int = 1
     #: v2: critical-path component totals over the attributed window
     #: (``{component}_s`` per component, plus ``wall_s`` / ``steps`` /
     #: ``residual_s``); ``None`` on v1 records.
     critpath: Optional[Dict[str, Any]] = None
-    #: v2: wall-clock phase profile from the self-profiler
-    #: (:meth:`repro.obs.profiler.WallProfiler.summary`); optional.
-    profile: Optional[Dict[str, Any]] = None
 
     def __post_init__(self) -> None:
         if not self.digest:
@@ -99,12 +96,10 @@ class RunRecord:
 
     def to_dict(self) -> Dict[str, Any]:
         d = asdict(self)
-        # v2 payloads are omitted when absent so v1 records round-trip
+        # The v2 payload is omitted when absent so v1 records round-trip
         # to the same compact shape they always had.
         if d.get("critpath") is None:
             d.pop("critpath", None)
-        if d.get("profile") is None:
-            d.pop("profile", None)
         return d
 
     @classmethod
@@ -112,7 +107,7 @@ class RunRecord:
         known = {k: d[k] for k in
                  ("name", "config", "time_per_step_s", "masked_fraction",
                   "critpath_compute_share", "digest", "created", "extra",
-                  "schema", "critpath", "profile")
+                  "schema", "critpath")
                  if k in d}
         return cls(**known)
 
@@ -122,7 +117,7 @@ class RunRecord:
         Compares the config digest and every *deterministic* metric —
         virtual time is bit-reproducible, so two honest runs of the same
         config agree exactly on all of these.  Wall-clock-dependent
-        payloads (``created``, the profile, overheads in ``extra``) are
+        payloads (``created``, overheads in ``extra``) are
         excluded: they differ on every run without meaning anything.
         """
         return (self.digest == other.digest
@@ -135,15 +130,20 @@ class RunRecord:
                 and self.critpath == other.critpath)
 
 
-def load_records(path: str = DEFAULT_PATH) -> List[RunRecord]:
-    """All records in *path* (oldest first); empty list if absent."""
+def _load_raw(path: str) -> List[Dict[str, Any]]:
+    """The record dicts in *path*, exactly as stored; empty if absent."""
     if not os.path.exists(path):
         return []
     with open(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, list):
         raise ValueError(f"{path}: expected a JSON array of records")
-    return [RunRecord.from_dict(d) for d in raw]
+    return raw
+
+
+def load_records(path: str = DEFAULT_PATH) -> List[RunRecord]:
+    """All records in *path* (oldest first); empty list if absent."""
+    return [RunRecord.from_dict(d) for d in _load_raw(path)]
 
 
 @contextmanager
@@ -174,7 +174,8 @@ def append_record(record: RunRecord, path: str = DEFAULT_PATH,
     Safe under concurrent writers: the read-modify-write cycle runs
     under an advisory file lock, and the new array lands via tempfile +
     ``os.replace`` so a reader (or a crash) never observes a partial
-    write.
+    write.  Earlier records are written back as the dicts the file
+    held, unknown keys included: an append never rewrites history.
 
     With ``dedup=True``, a record that is the same deterministic run as
     the file's **last** record (see :meth:`RunRecord.same_run`) is not
@@ -185,15 +186,16 @@ def append_record(record: RunRecord, path: str = DEFAULT_PATH,
     if stamp and not record.created:
         record.created = time.time()
     with _append_lock(path):
-        records = load_records(path)
-        if dedup and records and records[-1].same_run(record):
+        records = _load_raw(path)
+        if (dedup and records
+                and RunRecord.from_dict(records[-1]).same_run(record)):
             return len(records)
-        records.append(record)
+        records.append(record.to_dict())
         directory = os.path.dirname(os.path.abspath(path))
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                json.dump([r.to_dict() for r in records], fh, indent=1)
+                json.dump(records, fh, indent=1)
                 fh.write("\n")
             os.replace(tmp, path)
         except BaseException:

@@ -13,9 +13,9 @@ Usage (any artefact, directly from a shell)::
                             [--loss P] [--routing flat|hierarchical]
                             [--streams N] [--top K] [--grid MS ...]
                             [--tolerance F] [--per-step] [--interval MS]
-                            [--budget F] [--trace-out PATH]
-                            [--events-out PATH] [--health-out PATH]
-                            [--ledger-out PATH] [--json]
+                            [--trace-out PATH] [--events-out PATH]
+                            [--health-out PATH] [--ledger-out PATH]
+                            [--json]
     python -m repro sweep {fig3,fig3c,fig4,table1,table2} [--jobs N]
                           [--no-cache] [--cache-dir DIR]
                           [--stats-out PATH] [--steps N] [...subset flags]
@@ -32,24 +32,23 @@ fraction); ``critpath`` attributes each step's wall time along the
 causal critical path (compute / WAN in-flight / queueing / retransmit
 stall) and predicts the Figure-3 knee from that single run; ``health``
 runs with the fixed-memory telemetry sampler and rule-based watchdog
-and prints the health digest (sparklines, fired alerts, observability
-overhead); ``netview`` is the network flight recorder (per-link
-utilization, queue depths, top wire-time messages); ``objview`` is the
+and prints the health digest (sparklines and fired alerts);
+``netview`` is the network flight recorder (per-link utilization,
+queue depths, top wire-time messages); ``objview`` is the
 Projections-style object view (per-chare profiles, the object×object
 communication matrix, per-object critical-path blame and the
 decomposition advisor's split / merge / migrate suggestions).  Every
 view takes the same flags: ``--trace-out`` writes a Chrome trace,
 ``--events-out`` a JSON-lines event log, ``--health-out`` appends the
 structured health events, and ``--ledger-out`` appends a schema-2 run
-ledger record (with the self-profiler enabled for the run).  ``repro
-bench-diff`` compares two perf-trajectory records and exits non-zero on
-a >10 % step-time regression; when both records are schema-2 ledger
-records it also prints the per-component critical-path diff.  ``repro
-compare`` is the full differential view: given two ledger records (by
-index into a trajectory file, or as standalone files), it attributes
-the step-time delta to critical-path components exactly, diffs the
-wall-clock phase profiles and net roll-ups, and can write a
-side-by-side Chrome trace.  ``repro sweep`` runs any artefact's
+ledger record.  ``repro bench-diff`` compares two perf-trajectory
+records and exits non-zero on a >10 % step-time regression; when both
+records are schema-2 ledger records it also prints the per-component
+critical-path diff.  ``repro compare`` is the full differential view:
+given two ledger records (by index into a trajectory file, or as
+standalone files), it attributes the step-time delta to critical-path
+components exactly, diffs the net roll-ups and per-object blame, and
+can write a side-by-side Chrome trace.  ``repro sweep`` runs any artefact's
 configurations through the parallel executor — ``--jobs N`` fans out
 over N worker processes, the content-addressed run cache skips
 configurations already computed, and the rendered artefact is
@@ -119,6 +118,11 @@ def _validate_run(args) -> None:
         raise SystemExit(f"--streams must be >= 0, got {args.streams}")
     if args.top < 1:
         raise SystemExit(f"--top must be >= 1, got {args.top}")
+    if args.grid and min(args.grid) < 0:
+        raise SystemExit(f"--grid latencies must be >= 0, got "
+                         f"{min(args.grid)}")
+    if args.tolerance < 1:
+        raise SystemExit(f"--tolerance must be >= 1, got {args.tolerance}")
 
 
 def _write_chrome_trace(env, path, report) -> None:
@@ -210,10 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "attribution table")
     ins.add_argument("--interval", type=float, default=1.0,
                      help="health: sampling interval in virtual ms")
-    ins.add_argument("--budget", type=float, default=None,
-                     help="health: observability overhead budget as a "
-                          "wall-time fraction; over budget, the governor "
-                          "degrades full tracing -> sampling -> counters")
     ins.add_argument("--trace-out", default=None, metavar="PATH",
                      help="write a Chrome trace (causal flows, network "
                           "lanes, per-object lanes, health markers) here; "
@@ -224,9 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="append structured health events here (JSONL)")
     ins.add_argument("--ledger-out", default=None, metavar="PATH",
                      help="append a schema-2 run-ledger record (full "
-                          "critpath decomposition + wall-clock profile "
-                          "+ per-object blame) here for 'repro compare'; "
-                          "enables the self-profiler for the run")
+                          "critpath decomposition + per-object blame) "
+                          "here for 'repro compare'")
     ins.add_argument("--json", action="store_true",
                      help="print the report as JSON instead of text")
 
@@ -432,10 +431,9 @@ def cmd_inspect(args, out) -> None:
     health = view == "health"
     options = dict(
         routing=args.routing, wan_streams=args.streams, trace=trace,
-        sampling=SamplingPolicy(interval=ms(args.interval),
-                                overhead_budget=args.budget)
+        sampling=SamplingPolicy(interval=ms(args.interval))
         if health else None,
-        health=health, profile=args.ledger_out is not None)
+        health=health)
     if args.loss > 0:
         env = lossy_wan_env(args.pes, ms(args.latency), loss=args.loss,
                             **options)
@@ -467,7 +465,7 @@ def cmd_inspect(args, out) -> None:
                                                    warmup=result.warmup),
                            "knee": knee.to_dict()}
     elif view == "health":
-        report.health = health_section(env.health_events, env.governor)
+        report.health = health_section(env.health_events)
         report.timeseries = env.sampler.summary()
     elif view == "netview":
         report.net = netview_section(env.tracer, top=args.top)

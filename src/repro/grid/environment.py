@@ -16,14 +16,8 @@ from repro.network.chain import DeviceChain
 from repro.network.fabric import NetworkFabric
 from repro.network.reliable import ReliableTransport, RetransmitPolicy
 from repro.network.topology import GridTopology
-from repro.obs.health import (
-    HealthConfig,
-    HealthMonitor,
-    ObsGovernor,
-    TimedSink,
-)
+from repro.obs.health import HealthConfig, HealthMonitor
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profiler import WallProfiler
 from repro.obs.timeseries import SamplingPolicy, TelemetrySampler
 from repro.sim.engine import Engine
 from repro.sim.rand import RandomStreams
@@ -74,24 +68,14 @@ class GridEnvironment:
         Enable the fixed-memory telemetry sampler
         (:class:`~repro.obs.timeseries.TelemetrySampler`): ``True`` for
         the default :class:`~repro.obs.timeseries.SamplingPolicy`, or a
-        policy to tune cadence / capacity / the observability overhead
-        budget.  Available as :attr:`sampler`.
+        policy to tune cadence / capacity.  Available as
+        :attr:`sampler`.
     health:
         Enable the rule-based watchdog
         (:class:`~repro.obs.health.HealthMonitor`): ``True`` for the
         default :class:`~repro.obs.health.HealthConfig`, or a config to
         tune thresholds.  Implies ``sampling`` (the watchdog feeds on
         sampler snapshots).  Fired events are at :attr:`health_events`.
-    profile:
-        Enable the wall-clock self-profiler
-        (:class:`~repro.obs.profiler.WallProfiler`): the engine's
-        dispatch loop times every fired event into coarse phases
-        (scheduler / network / telemetry / app); when a sampling budget
-        has the governor stride-sampling the trace sinks anyway, that
-        cost rides along as a nested source.  Virtual
-        time is bit-identical with the profiler on or off; wall-clock
-        cost is bounded < 5 % by the perf-smoke bar.  Available as
-        :attr:`profiler` (``None`` when off).
     """
 
     def __init__(self, topology: GridTopology, chain: DeviceChain, *,
@@ -101,16 +85,11 @@ class GridEnvironment:
                  max_events: Optional[int] = None,
                  reliable: Union[bool, RetransmitPolicy, None] = None,
                  sampling: Union[bool, SamplingPolicy, None] = None,
-                 health: Union[bool, HealthConfig, None] = None,
-                 profile: bool = False) -> None:
+                 health: Union[bool, HealthConfig, None] = None) -> None:
         self.topology = topology
         self.chain = chain
         self.streams = RandomStreams(seed)
         self.engine = Engine(max_events=max_events)
-        self.profiler: Optional[WallProfiler] = \
-            WallProfiler() if profile else None
-        if self.profiler is not None:
-            self.engine.profiler = self.profiler
         self.metrics = MetricsRegistry()
         self.aggregator: Optional[TraceAggregator]
         if trace:
@@ -129,33 +108,10 @@ class GridEnvironment:
         else:
             sampling_policy = SamplingPolicy() if sampling else None
         self.sampling_policy = sampling_policy
-        #: Always present so ``obs.overhead_fraction`` appears in every
-        #: snapshot; it only *enforces* when a budget is configured.
-        self.governor = ObsGovernor(
-            budget=sampling_policy.overhead_budget
-            if sampling_policy is not None else None)
-        sink = self.aggregator
-        want_sink_timing = (
-            sampling_policy is not None
-            and sampling_policy.overhead_budget is not None)
-        if sink is not None and want_sink_timing:
-            # Per-event sink self-timing is itself overhead (an extra
-            # indirection on every trace event), so it is paid only when
-            # a budget makes the governor need the measurement.  When the
-            # profiler is also on it *reuses* that estimate as a nested
-            # phase at zero extra cost; a profiler without a budget gets
-            # no trace.sinks refinement — the sinks' time still lands
-            # inside the dispatch phases that call them.
-            sink = TimedSink(sink)
-            self.governor.add_cost_source(
-                "sinks", lambda s=sink: s.cost_s)
-            if self.profiler is not None:
-                self.profiler.add_nested_source(
-                    "trace.sinks", lambda s=sink: s.cost_s)
         self.fabric = NetworkFabric(
             self.engine, topology, chain,
             rng=self.streams.get("network"),
-            tracer=sink)
+            tracer=self.aggregator)
         if reliable:
             policy = reliable if isinstance(reliable, RetransmitPolicy) \
                 else None
@@ -173,58 +129,18 @@ class GridEnvironment:
             self.sampler: Optional[TelemetrySampler] = TelemetrySampler(
                 self.engine, self.runtime, sampling_policy,
                 transport=self.transport, aggregator=self.aggregator,
-                monitor=self.monitor, governor=self.governor)
+                monitor=self.monitor)
             self.sampler.start()
         else:
             self.sampler = None
-        self._trace_requested = trace
-        self.governor.on_downgrade("sampling", self._obs_to_sampling)
-        self.governor.on_downgrade("counters", self._obs_to_counters)
-        self.governor.on_upgrade("sampling", self._obs_recover_sampling)
-        self.governor.on_upgrade("full", self._obs_recover_full)
         self._register_collectors()
-
-    # -- governor downgrade/recovery ladder ------------------------------
-
-    def _obs_to_sampling(self) -> None:
-        """Level "sampling": stop storing raw events; the fold goes on."""
-        self.tracer.storing = False
-
-    def _obs_to_counters(self) -> None:
-        """Level "counters": drop sampling and streaming aggregation too;
-        only the O(1) counters/gauges keep updating.  The sampler is
-        *paused*, not stopped: its tick heartbeat (two clock reads, no
-        recording) keeps driving the governor's check so a later calm
-        stretch can climb back up the ladder."""
-        if self.sampler is not None:
-            self.sampler.pause()
-        if self.aggregator is not None:
-            self.aggregator.enabled = False
-
-    def _obs_recover_sampling(self) -> None:
-        """Recovery to "sampling": restart recording + aggregation.
-
-        Inverse of :meth:`_obs_to_counters`.  The stretch spent at
-        "counters" leaves a gap in the series and the aggregator's
-        streaming statistics — degradation loses data by design; only
-        the O(1) counters were complete throughout."""
-        if self.sampler is not None:
-            self.sampler.resume()
-        if self.aggregator is not None:
-            self.aggregator.enabled = True
-
-    def _obs_recover_full(self) -> None:
-        """Recovery to "full": store raw events again, but only if this
-        environment was built with tracing in the first place."""
-        if self._trace_requested:
-            self.tracer.storing = True
 
     @property
     def health_events(self):
-        """All watchdog + governor events fired so far, in firing order."""
+        """All watchdog events fired so far, in firing order."""
         if self.sampler is not None:
             return list(self.sampler.health_events)
-        return list(self.governor.events)
+        return []
 
     def _register_collectors(self) -> None:
         """Pull the scattered stat structs into the metrics registry."""
@@ -249,7 +165,6 @@ class GridEnvironment:
             return out
 
         m.register_collector("pes", pe_metrics)
-        m.register_collector("obs", lambda: self.governor.as_metrics())
 
     @property
     def now(self) -> float:

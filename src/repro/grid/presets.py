@@ -83,8 +83,7 @@ def single_cluster_env(num_pes: int, *, seed: int = 0,
                        object_stats: bool = True,
                        max_events: Optional[int] = None,
                        sampling: Union[bool, SamplingPolicy, None] = None,
-                       health: Union[bool, HealthConfig, None] = None,
-                       profile: bool = False
+                       health: Union[bool, HealthConfig, None] = None
                        ) -> GridEnvironment:
     """A conventional cluster: no wide area anywhere."""
     topo = GridTopology.single_cluster(num_pes)
@@ -93,8 +92,7 @@ def single_cluster_env(num_pes: int, *, seed: int = 0,
                            trace=trace, stats=stats,
                            object_stats=object_stats,
                            max_events=max_events,
-                           sampling=sampling, health=health,
-                           profile=profile)
+                           sampling=sampling, health=health)
 
 
 def artificial_latency_env(num_pes: int, latency: float, *, seed: int = 0,
@@ -105,8 +103,7 @@ def artificial_latency_env(num_pes: int, latency: float, *, seed: int = 0,
                            object_stats: bool = True,
                            max_events: Optional[int] = None,
                            sampling: Union[bool, SamplingPolicy, None] = None,
-                           health: Union[bool, HealthConfig, None] = None,
-                           profile: bool = False
+                           health: Union[bool, HealthConfig, None] = None
                            ) -> GridEnvironment:
     """The paper's simulated Grid: delay device between two halves.
 
@@ -143,8 +140,7 @@ def artificial_latency_env(num_pes: int, latency: float, *, seed: int = 0,
                            trace=trace, stats=stats,
                            object_stats=object_stats,
                            max_events=max_events,
-                           sampling=sampling, health=health,
-                           profile=profile)
+                           sampling=sampling, health=health)
 
 
 def multi_cluster_env(cluster_sizes, latency: float, *, seed: int = 0,
@@ -154,8 +150,7 @@ def multi_cluster_env(cluster_sizes, latency: float, *, seed: int = 0,
                       object_stats: bool = True,
                       max_events: Optional[int] = None,
                       sampling: Union[bool, SamplingPolicy, None] = None,
-                      health: Union[bool, HealthConfig, None] = None,
-                      profile: bool = False
+                      health: Union[bool, HealthConfig, None] = None
                       ) -> GridEnvironment:
     """The artificial-latency grid generalized to N co-allocated clusters.
 
@@ -176,8 +171,7 @@ def multi_cluster_env(cluster_sizes, latency: float, *, seed: int = 0,
                            trace=trace, stats=stats,
                            object_stats=object_stats,
                            max_events=max_events,
-                           sampling=sampling, health=health,
-                           profile=profile)
+                           sampling=sampling, health=health)
 
 
 def lossy_wan_env(num_pes: int, latency: float, *,
@@ -193,8 +187,7 @@ def lossy_wan_env(num_pes: int, latency: float, *,
                   trace: bool = False, stats: bool = True,
                   max_events: Optional[int] = None,
                   sampling: Union[bool, SamplingPolicy, None] = None,
-                  health: Union[bool, HealthConfig, None] = None,
-                  profile: bool = False
+                  health: Union[bool, HealthConfig, None] = None
                   ) -> GridEnvironment:
     """The artificial-latency grid over a *hostile* wide area.
 
@@ -243,8 +236,7 @@ def lossy_wan_env(num_pes: int, latency: float, *,
                            config=_apply_routing(config, routing),
                            trace=trace, stats=stats, max_events=max_events,
                            reliable=reliable,
-                           sampling=sampling, health=health,
-                           profile=profile)
+                           sampling=sampling, health=health)
 
 
 def teragrid_env(num_pes: int, *, seed: int = 0,
@@ -253,8 +245,7 @@ def teragrid_env(num_pes: int, *, seed: int = 0,
                  trace: bool = False, stats: bool = True,
                  max_events: Optional[int] = None,
                  sampling: Union[bool, SamplingPolicy, None] = None,
-                 health: Union[bool, HealthConfig, None] = None,
-                 profile: bool = False
+                 health: Union[bool, HealthConfig, None] = None
                  ) -> GridEnvironment:
     """The real co-allocated NCSA+ANL environment (jitter + contention)."""
     topo = GridTopology.two_cluster(num_pes, names=("ncsa", "anl"))
@@ -263,5 +254,4 @@ def teragrid_env(num_pes: int, *, seed: int = 0,
     chain = DeviceChain(devices)
     return GridEnvironment(topo, chain, seed=seed, config=config,
                            trace=trace, stats=stats, max_events=max_events,
-                           sampling=sampling, health=health,
-                           profile=profile)
+                           sampling=sampling, health=health)

@@ -26,25 +26,21 @@ Projections-grade surface:
   :class:`TelemetrySampler` daemon that feeds them during the run;
 * :mod:`repro.obs.health` — the rule-based watchdog
   (:class:`HealthMonitor` emitting structured :class:`HealthEvent`\\ s:
-  stall, retransmit storm, load imbalance, online unmasking) and the
-  :class:`ObsGovernor` that degrades observability when its own
-  wall-clock cost exceeds a configured budget — and recovers it when
-  the cost stays calm;
-* :mod:`repro.obs.profiler` — the wall-clock self-profiler
-  (:class:`WallProfiler`): phase-bucketed timing of the engine's
-  dispatch loop (scheduler / network / telemetry / app) with a
-  flamegraph-shaped Chrome-trace export, < 5 % overhead by the
-  perf-smoke bar and zero when off;
+  stall, retransmit storm, load imbalance, online unmasking);
 * :mod:`repro.obs.ledger` — the run ledger: schema-2
   :class:`~repro.bench.trajectory.RunRecord`\\ s carrying the full
-  critical-path decomposition, net/health roll-ups and the wall-clock
-  profile, appended flock-safe to the trajectory log and optionally
-  content-addressed beside the run cache;
+  critical-path decomposition and net/health roll-ups, appended
+  flock-safe to the trajectory log and optionally content-addressed
+  beside the run cache;
 * :mod:`repro.obs.diff` — differential analysis
   (:func:`compare_records`, ``repro compare``): aligns two ledger
   records and attributes their step-time delta to critical-path
   components *exactly* (the component deltas sum to the total delta
   with zero residual under exact arithmetic).
+
+Apart from the sampler timing its own ticks, everything here measures
+the *simulated* clock.  Host wall time is measured from outside the
+library, by the span tracer in ``benchmarks/e2e/spans.py``.
 """
 
 from repro.obs.critpath import (
@@ -68,13 +64,10 @@ from repro.obs.export import (
     write_event_log,
 )
 from repro.obs.health import (
-    OBS_LEVELS,
     HealthConfig,
     HealthEvent,
     HealthMonitor,
     HealthSample,
-    ObsGovernor,
-    TimedSink,
 )
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.objview import (
@@ -93,12 +86,6 @@ from repro.obs.timeseries import (
     TelemetrySampler,
     TimeSeries,
     render_sparkline,
-)
-
-from repro.obs.profiler import (
-    WallProfiler,
-    classify_action,
-    install_profiler,
 )
 
 #: Ledger/diff names resolve lazily (PEP 562): those modules import
@@ -159,20 +146,14 @@ __all__ = [
     "LatencyMaskingReport",
     "build_report",
     "objview_section",
-    "OBS_LEVELS",
     "HealthConfig",
     "HealthEvent",
     "HealthMonitor",
     "HealthSample",
-    "ObsGovernor",
-    "TimedSink",
     "SamplingPolicy",
     "TelemetrySampler",
     "TimeSeries",
     "render_sparkline",
-    "WallProfiler",
-    "classify_action",
-    "install_profiler",
     "append_ledger",
     "attribution_totals",
     "build_run_record",

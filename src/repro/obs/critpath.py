@@ -324,7 +324,7 @@ class CausalGraph:
     @classmethod
     def from_tracer(cls, tracer: Tracer) -> "CausalGraph":
         """Build the DAG from a batch trace recorded with causal ids."""
-        if not tracer.storing:
+        if not tracer.enabled:
             raise ConfigurationError(
                 "cannot build a causal graph from a disabled tracer "
                 "(run with trace=True)")

@@ -20,9 +20,8 @@ same telescoping discipline the single-run attribution invariant uses.
 Each component gets a verdict — ``regressed`` / ``improved`` /
 ``neutral`` — against a threshold scaled by the baseline's total step
 time (a 2 % swing of the *step* is interesting; 2 % of a nanoseconds-
-sized component is noise).  Wall-clock phase profiles and network
-roll-ups diff alongside, informationally: wall time is honest about
-being machine-dependent, so it never drives a verdict.
+sized component is noise).  Network roll-ups and per-object blame
+diff alongside, informationally: they never drive a verdict.
 """
 
 from __future__ import annotations
@@ -90,9 +89,6 @@ class RunComparison:
     verdict: str
     threshold: float
     abs_floor_s: float
-    #: phase -> {baseline_s, candidate_s, delta_s} wall-clock diffs
-    #: (informational: never drives a verdict).
-    phases: Dict[str, Dict[str, float]] = field(default_factory=dict)
     #: net-rollup key -> {baseline, candidate, delta}.
     net: Dict[str, Dict[str, float]] = field(default_factory=dict)
     #: object label -> per-object critical-path blame diff (virtual
@@ -155,14 +151,6 @@ class RunComparison:
             f"measured median step "
             f"{self.baseline.time_per_step_s * 1e3:.3f} ms -> "
             f"{self.candidate.time_per_step_s * 1e3:.3f} ms")
-        if self.phases:
-            lines.append("wall-clock phases (informational):")
-            for name in sorted(self.phases):
-                row = self.phases[name]
-                lines.append(
-                    f"  {name:<16} {row['baseline_s'] * 1e3:9.2f} ms -> "
-                    f"{row['candidate_s'] * 1e3:9.2f} ms "
-                    f"({row['delta_s'] * 1e3:+8.2f} ms)")
         if self.net:
             lines.append("net roll-up:")
             for name in sorted(self.net):
@@ -206,7 +194,6 @@ class RunComparison:
             "exact": self.exact,
             "all_neutral": self.all_neutral,
             "config_changed": self.config_changed,
-            "phases": self.phases,
             "net": self.net,
             "objects": self.objects,
         }
@@ -291,15 +278,6 @@ def compare_records(baseline: RunRecord, candidate: RunRecord, *,
         for k, b, c, d in zip(COMPONENTS, b_vals, c_vals, deltas)
     ]
 
-    phases: Dict[str, Dict[str, float]] = {}
-    b_ph = (baseline.profile or {}).get("phases", {})
-    c_ph = (candidate.profile or {}).get("phases", {})
-    for name in sorted(set(b_ph) | set(c_ph)):
-        b_s = float(b_ph.get(name, {}).get("wall_s", 0.0))
-        c_s = float(c_ph.get(name, {}).get("wall_s", 0.0))
-        phases[name] = {"baseline_s": b_s, "candidate_s": c_s,
-                        "delta_s": c_s - b_s}
-
     net: Dict[str, Dict[str, float]] = {}
     b_net = baseline.extra.get("net") or {}
     c_net = candidate.extra.get("net") or {}
@@ -332,7 +310,7 @@ def compare_records(baseline: RunRecord, candidate: RunRecord, *,
         delta_step_s=delta_total, residual_s=residual,
         verdict=_verdict(delta_total, scale),
         threshold=threshold, abs_floor_s=abs_floor_s,
-        phases=phases, net=net, objects=objects)
+        net=net, objects=objects)
 
 
 def write_compare_trace(comparison: RunComparison, path: str) -> None:

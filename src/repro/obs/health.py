@@ -1,4 +1,4 @@
-"""Watchdog rules, health events, and the observability governor.
+"""Watchdog rules and health events.
 
 The telemetry sampler (:mod:`repro.obs.timeseries`) produces a stream of
 :class:`HealthSample` snapshots; this module turns them into judgements:
@@ -26,35 +26,15 @@ The telemetry sampler (:mod:`repro.obs.timeseries`) produces a stream of
     the run is bandwidth-bound, not latency-bound, so adding objects
     will not mask it (warning).  Fed by the network flight recorder's
     per-lane utilization series.
-
-* :class:`ObsGovernor` — keeps observability honest about its own cost.
-  Sinks and samplers register wall-clock cost sources; the governor
-  compares their sum against elapsed wall time and, when a configured
-  budget is exceeded, degrades one level at a time
-  (``full`` tracing → ``sampling``-only → ``counters``-only), invoking
-  a callback per level and logging the downgrade as a health event.
-  Degradation also *recovers*: once the overhead fraction has stayed
-  below ``recovery_headroom x budget`` for ``recovery_patience``
-  consecutive checks, the governor upgrades one level back up the same
-  ladder (with per-level ``on_upgrade`` callbacks and an info-severity
-  event), so a transient load spike does not permanently blind the
-  run.  The hysteresis — a fraction of the budget, held for several
-  checks — prevents downgrade/upgrade flapping right at the threshold.
-  The clock is injectable, so downgrade and recovery behaviour are
-  deterministic under test.
 """
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional
 
 from repro.errors import ConfigurationError
-
-#: Governor degradation ladder, most expensive first.
-OBS_LEVELS = ("full", "sampling", "counters")
 
 
 @dataclass(frozen=True)
@@ -63,7 +43,7 @@ class HealthEvent:
 
     t: float                 # virtual time the rule fired
     severity: str            # "info" | "warning" | "critical"
-    rule: str                # e.g. "stall", "unmasking", "obs-governor"
+    rule: str                # e.g. "stall", "unmasking"
     metric: str              # the metric the rule watched
     value: float             # observed value at firing time
     threshold: float         # the configured threshold it crossed
@@ -360,260 +340,3 @@ class HealthMonitor:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"HealthMonitor(samples={self.samples_seen}, "
                 f"events={len(self.events)})")
-
-
-class ObsGovernor:
-    """Budgets observability's own wall-clock cost.
-
-    Parameters
-    ----------
-    budget:
-        Maximum tolerated ``obs_cost / elapsed_wall`` fraction; ``None``
-        means "measure but never downgrade".
-    clock:
-        Wall-clock source (injectable: tests drive a fake clock and get
-        bit-deterministic downgrade sequences).
-    recovery_headroom:
-        Upgrade hysteresis: recovery arms only while the overhead
-        fraction sits below ``recovery_headroom x budget`` (default half
-        the budget), so a level bouncing right at the threshold never
-        flaps.
-    recovery_patience:
-        Consecutive calm checks required before one upgrade step.
-    """
-
-    def __init__(self, budget: Optional[float] = None,
-                 clock: Callable[[], float] = time.perf_counter,
-                 recovery_headroom: float = 0.5,
-                 recovery_patience: int = 3) -> None:
-        if budget is not None and budget <= 0:
-            raise ConfigurationError(f"governor budget must be > 0: {budget}")
-        if not (0.0 < recovery_headroom <= 1.0):
-            raise ConfigurationError(
-                f"recovery_headroom must be in (0, 1]: {recovery_headroom}")
-        if recovery_patience < 1:
-            raise ConfigurationError(
-                f"recovery_patience must be >= 1: {recovery_patience}")
-        self.budget = budget
-        self.clock = clock
-        self.recovery_headroom = recovery_headroom
-        self.recovery_patience = recovery_patience
-        self._t0 = clock()
-        self._sources: Dict[str, Callable[[], float]] = {}
-        self._on_downgrade: Dict[str, Callable[[], None]] = {}
-        self._on_upgrade: Dict[str, Callable[[], None]] = {}
-        self._calm_checks = 0
-        self.level = OBS_LEVELS[0]
-        self.events: List[HealthEvent] = []
-
-    # -- wiring -----------------------------------------------------------
-
-    def add_cost_source(self, name: str,
-                        cost_fn: Callable[[], float]) -> None:
-        """Register a cumulative wall-seconds cost callable."""
-        self._sources[name] = cost_fn
-
-    def on_downgrade(self, level: str, callback: Callable[[], None]) -> None:
-        """Run *callback* when the governor degrades *to* level."""
-        if level not in OBS_LEVELS:
-            raise ConfigurationError(f"unknown obs level {level!r}; "
-                                     f"valid: {OBS_LEVELS}")
-        self._on_downgrade[level] = callback
-
-    def on_upgrade(self, level: str, callback: Callable[[], None]) -> None:
-        """Run *callback* when the governor recovers *to* level."""
-        if level not in OBS_LEVELS:
-            raise ConfigurationError(f"unknown obs level {level!r}; "
-                                     f"valid: {OBS_LEVELS}")
-        self._on_upgrade[level] = callback
-
-    # -- accounting -------------------------------------------------------
-
-    def overhead_seconds(self) -> float:
-        return sum(fn() for fn in self._sources.values())
-
-    def overhead_fraction(self) -> float:
-        """Observability wall seconds / elapsed wall seconds."""
-        elapsed = self.clock() - self._t0
-        if elapsed <= 0:
-            return 0.0
-        return self.overhead_seconds() / elapsed
-
-    @property
-    def level_index(self) -> int:
-        return OBS_LEVELS.index(self.level)
-
-    def as_metrics(self) -> Dict[str, float]:
-        """Flat ``obs.*`` names for the metrics registry."""
-        return {
-            "obs.overhead_fraction": self.overhead_fraction(),
-            "obs.overhead_s": self.overhead_seconds(),
-            "obs.level": self.level_index,
-        }
-
-    # -- enforcement ------------------------------------------------------
-
-    def check(self, sim_now: float) -> Optional[HealthEvent]:
-        """Adjust one level if warranted; returns the transition event.
-
-        Called once per sampler tick.  Over budget, degrade one level
-        per call so a single pathological tick cannot skip straight to
-        counters-only before the cheaper remedy was tried.  Under
-        ``recovery_headroom x budget`` for ``recovery_patience``
-        consecutive checks, upgrade one level back — recovery climbs
-        the same ladder it descended, one rung per transition.
-        """
-        if self.budget is None:
-            return None
-        fraction = self.overhead_fraction()
-        if fraction > self.budget:
-            self._calm_checks = 0
-            idx = self.level_index
-            if idx + 1 >= len(OBS_LEVELS):
-                return None  # already at the floor
-            self.level = OBS_LEVELS[idx + 1]
-            callback = self._on_downgrade.get(self.level)
-            if callback is not None:
-                callback()
-            event = HealthEvent(
-                t=sim_now, severity="warning", rule="obs-governor",
-                metric="obs.overhead_fraction", value=fraction,
-                threshold=self.budget,
-                message=f"observability overhead {fraction:.1%} > budget "
-                        f"{self.budget:.1%}: degraded "
-                        f"{OBS_LEVELS[idx]} -> {self.level}")
-            self.events.append(event)
-            return event
-        idx = self.level_index
-        if idx == 0:
-            self._calm_checks = 0
-            return None  # nothing to recover
-        if fraction > self.budget * self.recovery_headroom:
-            self._calm_checks = 0
-            return None  # under budget but not calm enough to climb
-        self._calm_checks += 1
-        if self._calm_checks < self.recovery_patience:
-            return None
-        self._calm_checks = 0
-        self.level = OBS_LEVELS[idx - 1]
-        callback = self._on_upgrade.get(self.level)
-        if callback is not None:
-            callback()
-        event = HealthEvent(
-            t=sim_now, severity="info", rule="obs-governor",
-            metric="obs.overhead_fraction", value=fraction,
-            threshold=self.budget * self.recovery_headroom,
-            message=f"observability overhead {fraction:.1%} stayed below "
-                    f"{self.recovery_headroom:.0%} of budget for "
-                    f"{self.recovery_patience} checks: recovered "
-                    f"{OBS_LEVELS[idx]} -> {self.level}")
-        self.events.append(event)
-        return event
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"ObsGovernor(level={self.level}, "
-                f"budget={self.budget}, "
-                f"sources={sorted(self._sources)})")
-
-
-class TimedSink:
-    """A :class:`~repro.sim.trace.TraceSink` wrapper that self-times.
-
-    Timing every call would itself be the overhead it measures, so the
-    wrapper samples: one call in every :attr:`stride` is timed and the
-    measurement is scaled by the stride.  Cumulative estimated cost is
-    exposed via :attr:`cost_s` for the governor.  Even so, the extra
-    indirection per trace event is not free, which is why
-    :class:`~repro.grid.environment.GridEnvironment` only installs the
-    wrapper when an overhead budget makes the governor need the number.
-    """
-
-    def __init__(self, inner, stride: int = 16,
-                 clock: Callable[[], float] = time.perf_counter) -> None:
-        if stride < 1:
-            raise ConfigurationError(f"stride must be >= 1: {stride}")
-        self.inner = inner
-        self.stride = stride
-        self.clock = clock
-        self.cost_s = 0.0
-        self._calls = 0
-
-    @property
-    def enabled(self) -> bool:
-        return self.inner.enabled
-
-    def _tick(self) -> Optional[float]:
-        """Start a timing window on every stride-th call."""
-        self._calls += 1
-        if self._calls % self.stride:
-            return None
-        return self.clock()
-
-    def _tock(self, t0: Optional[float]) -> None:
-        if t0 is not None:
-            self.cost_s += (self.clock() - t0) * self.stride
-
-    def begin_execute(self, pe, now, chare, entry, sid=None, parent=None,
-                      trigger=None, obj=None):
-        t0 = self._tick()
-        self.inner.begin_execute(pe, now, chare, entry, sid=sid,
-                                 parent=parent, trigger=trigger, obj=obj)
-        self._tock(t0)
-
-    def end_execute(self, pe, now):
-        t0 = self._tick()
-        self.inner.end_execute(pe, now)
-        self._tock(t0)
-
-    def message_sent(self, now, src_pe, dst_pe, size, tag, crossed_wan,
-                     seq=None, cause=None, ack_for=None,
-                     src_obj=None, dst_obj=None):
-        t0 = self._tick()
-        self.inner.message_sent(now, src_pe, dst_pe, size, tag, crossed_wan,
-                                seq, cause=cause, ack_for=ack_for,
-                                src_obj=src_obj, dst_obj=dst_obj)
-        self._tock(t0)
-
-    def message_delivered(self, now, src_pe, dst_pe, size, tag, crossed_wan,
-                          seq=None, cause=None, ack_for=None,
-                          src_obj=None, dst_obj=None):
-        t0 = self._tick()
-        self.inner.message_delivered(now, src_pe, dst_pe, size, tag,
-                                     crossed_wan, seq, cause=cause,
-                                     ack_for=ack_for,
-                                     src_obj=src_obj, dst_obj=dst_obj)
-        self._tock(t0)
-
-    def message_dropped(self, now, src_pe, dst_pe, size, tag, crossed_wan,
-                        seq=None, cause=None, ack_for=None,
-                        src_obj=None, dst_obj=None):
-        t0 = self._tick()
-        self.inner.message_dropped(now, src_pe, dst_pe, size, tag,
-                                   crossed_wan, seq, cause=cause,
-                                   ack_for=ack_for,
-                                   src_obj=src_obj, dst_obj=dst_obj)
-        self._tock(t0)
-
-    def note_retransmit(self):
-        t0 = self._tick()
-        self.inner.note_retransmit()
-        self._tock(t0)
-
-    def note_dup_suppressed(self):
-        t0 = self._tick()
-        self.inner.note_dup_suppressed()
-        self._tock(t0)
-
-    def message_hops(self, now, src_pe, dst_pe, size, tag, crossed_wan,
-                     seq, arrival, hops, relay_hop=0, arq_attempt=0):
-        t0 = self._tick()
-        self.inner.message_hops(now, src_pe, dst_pe, size, tag,
-                                crossed_wan, seq, arrival, hops,
-                                relay_hop=relay_hop,
-                                arq_attempt=arq_attempt)
-        self._tock(t0)
-
-    def close(self):
-        close = getattr(self.inner, "close", None)
-        if close is not None:
-            close()

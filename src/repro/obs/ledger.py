@@ -13,8 +13,7 @@ runs *comparable*.  Every traced run can emit one compact
 * the network roll-up (``extra["net"]``: lanes, WAN crossings,
   busy/queue seconds) from the flight recorder's link fold,
 * health episodes (``extra["health"]``: per-rule and per-severity
-  counts from the watchdog + governor),
-* the wall-clock phase profile from the self-profiler, when one ran.
+  counts from the watchdog).
 
 Records are appended flock-safe to the existing trajectory log (the
 same ``BENCH_critpath.json`` machinery, same advisory lock + atomic
@@ -128,7 +127,7 @@ def objects_rollup(env, blame=None) -> Optional[Dict[str, Any]]:
 
 
 def health_rollup(events) -> Optional[Dict[str, Any]]:
-    """Compact digest of watchdog/governor episodes; ``None`` if none.
+    """Compact digest of watchdog episodes; ``None`` if none.
 
     Counts per rule and per severity rather than the full event list:
     the ledger is meant to stay small enough to commit, and the counts
@@ -162,8 +161,7 @@ def _median_step_s(result) -> float:
 
 
 def build_run_record(*, name: str, config: Dict[str, Any], result, env,
-                     steps_attribution=None, profiler=None,
-                     objects_blame=None,
+                     steps_attribution=None, objects_blame=None,
                      extra: Optional[Dict[str, Any]] = None) -> RunRecord:
     """Assemble a schema-2 ledger record from one completed run.
 
@@ -177,15 +175,11 @@ def build_run_record(*, name: str, config: Dict[str, Any], result, env,
         The application's run result (step times, warmup).
     env:
         The :class:`~repro.grid.environment.GridEnvironment` the run
-        used; supplies the aggregator, health events, and profiler.
+        used; supplies the aggregator and health events.
     steps_attribution:
         Per-step critical-path attribution
         (:func:`repro.obs.critpath.per_step_attribution` output); when
         given, its window totals become the record's ``critpath``.
-    profiler:
-        A :class:`~repro.obs.profiler.WallProfiler` whose summary rides
-        along as the record's ``profile``; defaults to the
-        environment's own, when one is attached.
     objects_blame:
         Optional per-object critical-path blame
         (:func:`repro.obs.critpath.per_object_blame` output); folded
@@ -212,18 +206,15 @@ def build_run_record(*, name: str, config: Dict[str, Any], result, env,
     objects = objects_rollup(env, blame=objects_blame)
     if objects is not None:
         rec_extra.setdefault("objects", objects)
-    if profiler is None:
-        profiler = getattr(env, "profiler", None)
     return RunRecord(
         name=name, config=config,
         time_per_step_s=_median_step_s(result),
         masked_fraction=(agg.masked_latency_fraction
-                         if agg is not None and agg.enabled else None),
+                         if agg is not None else None),
         critpath_compute_share=compute_share,
         extra=rec_extra,
         schema=LEDGER_SCHEMA,
         critpath=critpath,
-        profile=profiler.summary() if profiler is not None else None,
     )
 
 
@@ -231,13 +222,12 @@ def ledger_key(record: RunRecord) -> str:
     """Content hash identifying *record*'s deterministic payload.
 
     Canonical-JSON SHA-256 with the wall-clock-dependent fields
-    (``created``, ``profile``, ``extra``) removed: a byte-identical
+    (``created``, ``extra``) removed: a byte-identical
     re-run of the same configuration produces the same key, so storing
     it is idempotent — exactly the :mod:`repro.bench.cache` contract.
     """
     doc = record.to_dict()
     doc.pop("created", None)
-    doc.pop("profile", None)
     doc.pop("extra", None)
     canon = json.dumps(doc, sort_keys=True, separators=(",", ":"),
                        default=str)

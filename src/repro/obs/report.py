@@ -43,9 +43,8 @@ class LatencyMaskingReport:
     #: digest under ``"knee"``.
     critpath: Optional[Dict[str, object]] = None
     #: Optional health section (``repro inspect --view health`` fills
-    #: it): the watchdog and governor events fired during the run, as
-    #: :meth:`~repro.obs.health.HealthEvent.to_dict` dicts, plus the
-    #: final observability level and overhead fraction.
+    #: it): the watchdog events fired during the run, as
+    #: :meth:`~repro.obs.health.HealthEvent.to_dict` dicts.
     health: Optional[Dict[str, object]] = None
     #: Optional telemetry section: the
     #: :meth:`~repro.obs.timeseries.TelemetrySampler.summary` digest.
@@ -191,13 +190,6 @@ class LatencyMaskingReport:
                     f"of baseline)")
         if self.health is not None:
             lines += ["", "Health"]
-            level = self.health.get("obs_level")
-            overhead = self.health.get("obs_overhead_fraction")
-            if level is not None:
-                lines.append(f"  observability level {level}")
-            if overhead is not None:
-                lines.append(f"  obs overhead        "
-                             f"{float(overhead):.2%} of wall time")
             events = self.health.get("events") or []
             lines.append(f"  events fired        {len(events)}")
             for ev in events:
@@ -290,25 +282,13 @@ class LatencyMaskingReport:
         return "\n".join(lines)
 
 
-def health_section(events, governor=None) -> Dict[str, object]:
+def health_section(events) -> Dict[str, object]:
     """Build the report's ``health`` section from fired events.
 
-    Parameters
-    ----------
-    events:
-        Iterable of :class:`~repro.obs.health.HealthEvent` (e.g.
-        ``env.health_events``).
-    governor:
-        Optional :class:`~repro.obs.health.ObsGovernor`; contributes the
-        final observability level and overhead fraction.
+    *events* is an iterable of :class:`~repro.obs.health.HealthEvent`
+    (e.g. ``env.health_events``).
     """
-    out: Dict[str, object] = {
-        "events": [e.to_dict() for e in events],
-    }
-    if governor is not None:
-        out["obs_level"] = governor.level
-        out["obs_overhead_fraction"] = governor.overhead_fraction()
-    return out
+    return {"events": [e.to_dict() for e in events]}
 
 
 def netview_section(source: TraceAggregator,

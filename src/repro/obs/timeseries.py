@@ -10,9 +10,7 @@ storing every event.  This module adds the missing middle layer:
   and the per-point sample count doubles, so an arbitrarily long run
   always fits in O(capacity) memory at progressively coarser resolution
   — the classic doubling-downsample trick.
-* :class:`SamplingPolicy` — cadence/capacity/smoothing knobs, plus the
-  observability *overhead budget* enforced by
-  :class:`~repro.obs.health.ObsGovernor`.
+* :class:`SamplingPolicy` — cadence/capacity/smoothing knobs.
 * :class:`TelemetrySampler` — a daemon event on the simulation engine
   (``Engine.post_in(..., daemon=True)``) that wakes every *interval*
   virtual seconds and records per-PE utilization (windowed, then
@@ -22,8 +20,7 @@ storing every event.  This module adds the missing middle layer:
   rules run *during* the simulation, not after it.
 
 The sampler self-times every tick with a wall clock (injectable for
-tests) and reports that cost to the governor, which is how "observability
-is over budget" is detected.
+tests) and reports that cost as ``cost_s`` in its :meth:`summary`.
 """
 
 from __future__ import annotations
@@ -153,7 +150,7 @@ class TimeSeries:
 
 @dataclass(frozen=True)
 class SamplingPolicy:
-    """Cadence and budget knobs for the telemetry sampler."""
+    """Cadence knobs for the telemetry sampler."""
 
     #: Virtual seconds between samples.  The default suits the paper's
     #: millisecond-class step times (a few samples per stencil step).
@@ -164,9 +161,6 @@ class SamplingPolicy:
     ema_alpha: float = 0.3
     #: Record a ``pe.N.util_ema`` series per PE (cheap up to ~64 PEs).
     per_pe_series: bool = True
-    #: Observability overhead budget as a fraction of wall time
-    #: (``None`` disables the governor's downgrade behaviour).
-    overhead_budget: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.interval <= 0:
@@ -175,9 +169,6 @@ class SamplingPolicy:
         if not (0.0 < self.ema_alpha <= 1.0):
             raise ConfigurationError(
                 f"ema_alpha must be in (0, 1]: {self.ema_alpha}")
-        if self.overhead_budget is not None and self.overhead_budget <= 0:
-            raise ConfigurationError(
-                f"overhead_budget must be > 0: {self.overhead_budget}")
 
 
 class TelemetrySampler:
@@ -202,17 +193,12 @@ class TelemetrySampler:
     monitor:
         A :class:`~repro.obs.health.HealthMonitor` offered every sample;
         events it emits accumulate in :attr:`health_events`.
-    governor:
-        An :class:`~repro.obs.health.ObsGovernor`; the sampler reports
-        its own wall-clock cost there and invokes
-        :meth:`~repro.obs.health.ObsGovernor.check` once per tick.
     clock:
         Wall-clock source for self-timing (injectable in tests).
     """
 
     def __init__(self, engine, runtime, policy: Optional[SamplingPolicy] = None,
                  *, transport=None, aggregator=None, monitor=None,
-                 governor=None,
                  clock: Callable[[], float] = time.perf_counter) -> None:
         self.engine = engine
         self.runtime = runtime
@@ -220,17 +206,12 @@ class TelemetrySampler:
         self.transport = transport
         self.aggregator = aggregator
         self.monitor = monitor
-        self.governor = governor
         self.clock = clock
         self.enabled = True
-        #: False while paused: the tick heartbeat keeps firing (so the
-        #: governor still gets its periodic check and can recover) but
-        #: nothing is recorded.
-        self.recording = True
         self.series: Dict[str, TimeSeries] = {}
         self.health_events: List = []
         self.ticks = 0
-        #: Cumulative wall seconds spent inside ticks (governor input).
+        #: Cumulative wall seconds spent inside ticks.
         self.cost_s = 0.0
         self._started = False
         self._last_t: Optional[float] = None
@@ -241,8 +222,6 @@ class TelemetrySampler:
         #: windowed per-link busy-fraction series from the flight
         #: recorder's online link fold).
         self._prev_link_busy: Dict[str, float] = {}
-        if governor is not None:
-            governor.add_cost_source("sampler", lambda: self.cost_s)
 
     # -- lifecycle --------------------------------------------------------
 
@@ -257,21 +236,6 @@ class TelemetrySampler:
         """Stop sampling: the next tick fires but records nothing and
         does not reschedule."""
         self.enabled = False
-
-    def pause(self) -> None:
-        """Stop *recording* but keep the tick heartbeat alive.
-
-        The governor's downgrade-to-counters remedy uses this instead of
-        :meth:`stop`: sampling cost drops to two clock reads per tick,
-        yet :meth:`~repro.obs.health.ObsGovernor.check` still runs every
-        interval — without the heartbeat the governor could never
-        observe the overhead fraction falling and recover.
-        """
-        self.recording = False
-
-    def resume(self) -> None:
-        """Resume recording after :meth:`pause` (idempotent)."""
-        self.recording = True
 
     # -- sampling ---------------------------------------------------------
 
@@ -291,18 +255,10 @@ class TelemetrySampler:
         if not self.enabled:
             return
         t0 = self.clock()
-        now = self.engine.now
-        if self.recording:
-            self._sample(now)
-            self.ticks += 1
+        self._sample(self.engine.now)
+        self.ticks += 1
         self.cost_s += self.clock() - t0
-        if self.governor is not None:
-            event = self.governor.check(now)
-            if event is not None:
-                self.health_events.append(event)
-        if self.enabled:
-            self.engine.post_in(self.policy.interval, self._tick,
-                                daemon=True)
+        self.engine.post_in(self.policy.interval, self._tick, daemon=True)
 
     def _sample(self, now: float) -> None:
         window = (now - self._last_t) if self._last_t is not None \
@@ -352,7 +308,7 @@ class TelemetrySampler:
             self._series("arq.in_flight").add(now, arq)
 
         masked = None
-        if self.aggregator is not None and self.aggregator.enabled:
+        if self.aggregator is not None:
             masked = self.aggregator.masked_latency_fraction
             self._series("wan.masked_fraction").add(now, masked)
 
@@ -360,7 +316,7 @@ class TelemetrySampler:
         # online link fold (deltas of cumulative serialization seconds).
         max_link_busy = None
         link_usage = getattr(self.aggregator, "link_usage", None)
-        if link_usage is not None and self.aggregator.enabled:
+        if link_usage is not None:
             for lane, usage in link_usage().items():
                 if not usage.wan:
                     continue
@@ -378,7 +334,7 @@ class TelemetrySampler:
         # (harvested every tick so the window always spans one interval).
         top_grain = top_grain_obj = None
         objview = getattr(self.aggregator, "objview", None)
-        if objview is not None and self.aggregator.enabled:
+        if objview is not None:
             top_grain, top_grain_obj = objview.harvest_window()
             self._series("obj.top_grain_s").add(now, top_grain)
 

@@ -109,11 +109,6 @@ class Engine:
         self._cancelled_in_queue: int = 0
         #: Live (queued, not cancelled) daemon entries in the heap.
         self._daemon_live: int = 0
-        #: Optional :class:`~repro.obs.profiler.WallProfiler`: when set,
-        #: dispatch loops time each fired action and report it.  Virtual
-        #: time is identical either way — the profiler only *observes*
-        #: wall clock; when ``None`` the dispatch loops are untouched.
-        self.profiler = None
 
     # -- clock --------------------------------------------------------------
 
@@ -211,13 +206,7 @@ class Engine:
                 raise SimulationError(
                     f"exceeded max_events={self._max_events}; "
                     "likely a livelock in the simulated system")
-            profiler = self.profiler
-            if profiler is None:
-                action(*args)
-            else:
-                t0 = profiler.clock()
-                action(*args)
-                profiler.record_action(action, profiler.clock() - t0)
+            action(*args)
             return True
         return False
 
@@ -286,7 +275,6 @@ class Engine:
         queue = self._queue
         pop = heapq.heappop
         max_events = self._max_events
-        profiler = self.profiler
         while queue:
             entry = queue[0]
             if entry[_STATE] is _CANCELLED:
@@ -307,13 +295,7 @@ class Engine:
                 raise SimulationError(
                     f"exceeded max_events={max_events}; "
                     "likely a livelock in the simulated system")
-            if profiler is None:
-                entry[_ACTION](*entry[_ARGS])
-            else:
-                t0 = profiler.clock()
-                entry[_ACTION](*entry[_ARGS])
-                profiler.record_action(entry[_ACTION],
-                                       profiler.clock() - t0)
+            entry[_ACTION](*entry[_ARGS])
 
     def _run_all(self) -> None:
         """Run-until-quiescence fast path: :meth:`step` inlined.
@@ -327,15 +309,7 @@ class Engine:
         non-daemon event, so the pop loop always fires something; daemon
         events fire too (in time order) but cannot keep the loop alive
         alone.
-
-        With a profiler attached, dispatch runs through the separate
-        :meth:`_run_all_profiled` variant so the common case pays zero
-        per-event cost for the feature; the two loops must stay
-        behaviorally identical apart from the timing.
         """
-        if self.profiler is not None:
-            self._run_all_profiled()
-            return
         queue = self._queue
         pop = heapq.heappop
         max_events = self._max_events
@@ -355,57 +329,6 @@ class Engine:
                     f"exceeded max_events={max_events}; "
                     "likely a livelock in the simulated system")
             entry[_ACTION](*entry[_ARGS])
-
-    def _run_all_profiled(self) -> None:
-        """:meth:`_run_all` with per-event wall-clock attribution.
-
-        A verbatim copy of the fast path plus ONE chained clock read and
-        one :meth:`~repro.obs.profiler.WallProfiler.record_action` call
-        per fired event: the timestamp taken after event *N* doubles as
-        the start of event *N+1*, so the heap pop and loop bookkeeping
-        between them are charged to the action they precede.  That keeps
-        total accounted time exact while halving the clock cost — the
-        profiler's whole dispatch overhead, bounded < 5 % by the
-        perf-smoke acceptance bar.  Virtual-time behaviour is
-        bit-identical to the unprofiled loop.
-        """
-        queue = self._queue
-        pop = heapq.heappop
-        max_events = self._max_events
-        profiler = self.profiler
-        clock = profiler.clock
-        record = profiler.record_action
-        buckets = profiler._buckets
-        t_prev = clock()
-        while len(queue) - self._cancelled_in_queue - self._daemon_live > 0:
-            entry = pop(queue)
-            if entry[_STATE] is _CANCELLED:
-                self._cancelled_in_queue -= 1
-                continue
-            if entry[_DAEMON]:
-                self._daemon_live -= 1
-            entry[_STATE] = _FIRED
-            self._now = entry[_WHEN]
-            self._events_processed += 1
-            if (max_events is not None
-                    and self._events_processed > max_events):
-                raise SimulationError(
-                    f"exceeded max_events={max_events}; "
-                    "likely a livelock in the simulated system")
-            action = entry[_ACTION]
-            action(*entry[_ARGS])
-            t_now = clock()
-            # WallProfiler.record_action inlined (bucket-hit fast path)
-            # to drop a method call per event; the miss path delegates
-            # and creates the per-function bucket.
-            func = getattr(action, "__func__", action)
-            bucket = buckets.get(func)
-            if bucket is None:
-                record(action, t_now - t_prev)
-            else:
-                bucket[0] += 1
-                bucket[1] += t_now - t_prev
-            t_prev = t_now
 
     # -- debugging -------------------------------------------------------------
 

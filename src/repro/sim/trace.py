@@ -1372,10 +1372,6 @@ class Tracer(TraceAggregator):
                  objects: bool = True) -> None:
         super().__init__(metrics=metrics, objects=objects)
         self.enabled = enabled
-        #: Raw-event storage switch.  Events are stored only while both
-        #: this and :attr:`enabled` are set; the observability governor
-        #: clears it alone to keep the fold running without storage.
-        self.storing = enabled
         self.intervals: List[ExecInterval] = []
         self.messages: List[MessageEvent] = []
         #: Flight-recorder records: one per delivered wire copy, in the
@@ -1400,14 +1396,14 @@ class Tracer(TraceAggregator):
         """Mark the start of an entry-method execution on *pe*."""
         super().begin_execute(pe, now, chare, entry, sid, parent, trigger,
                               obj)
-        if self.enabled and self.storing:
+        if self.enabled:
             self._open[pe] = (now, chare, entry, sid, parent, trigger, obj)
 
     def end_execute(self, pe: int, now: float) -> None:
         """Mark the end of the currently open execution on *pe*."""
         super().end_execute(pe, now)
         opened = self._open.pop(pe, None)
-        if opened is not None and self.enabled and self.storing:
+        if opened is not None and self.enabled:
             start, chare, entry, sid, parent, trigger, obj = opened
             self.intervals.append(ExecInterval(
                 pe, start, now, chare, entry, sid=sid, parent=parent,
@@ -1423,7 +1419,7 @@ class Tracer(TraceAggregator):
         """Record a message leaving its source PE."""
         super().message_sent(now, src_pe, dst_pe, size, tag, crossed_wan,
                              seq, cause, ack_for, src_obj, dst_obj)
-        if self.enabled and self.storing:
+        if self.enabled:
             self.messages.append(MessageEvent(
                 "send", now, src_pe, dst_pe, size, tag, crossed_wan, seq,
                 cause, ack_for, src_obj, dst_obj))
@@ -1439,7 +1435,7 @@ class Tracer(TraceAggregator):
         super().message_delivered(now, src_pe, dst_pe, size, tag,
                                   crossed_wan, seq, cause, ack_for, src_obj,
                                   dst_obj)
-        if self.enabled and self.storing:
+        if self.enabled:
             self.messages.append(MessageEvent(
                 "deliver", now, src_pe, dst_pe, size, tag, crossed_wan, seq,
                 cause, ack_for, src_obj, dst_obj))
@@ -1454,7 +1450,7 @@ class Tracer(TraceAggregator):
         """Record a message lost on the wire (fault injection)."""
         super().message_dropped(now, src_pe, dst_pe, size, tag, crossed_wan,
                                 seq, cause, ack_for, src_obj, dst_obj)
-        if self.enabled and self.storing:
+        if self.enabled:
             self.messages.append(MessageEvent(
                 "drop", now, src_pe, dst_pe, size, tag, crossed_wan, seq,
                 cause, ack_for, src_obj, dst_obj))
@@ -1466,7 +1462,7 @@ class Tracer(TraceAggregator):
         """Record one wire copy's hop ledger (see :class:`HopEvent`)."""
         super().message_hops(now, src_pe, dst_pe, size, tag, crossed_wan,
                              seq, arrival, hops, relay_hop, arq_attempt)
-        if self.enabled and self.storing:
+        if self.enabled:
             self.hops.append(HopEvent(
                 now, src_pe, dst_pe, size, tag, crossed_wan, seq, arrival,
                 hops, relay_hop, arq_attempt))
@@ -1474,9 +1470,8 @@ class Tracer(TraceAggregator):
     # -- stored-event queries --------------------------------------------
 
     def _require_data(self) -> None:
-        if not self.storing:
-            raise ValueError("tracer stored no events (disabled, or "
-                             "storage switched off)")
+        if not self.enabled:
+            raise ValueError("tracer stored no events (disabled)")
 
     def _pe_index(self) -> Dict[int, Tuple[List[float], List[float],
                                            List[float]]]:

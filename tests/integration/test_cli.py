@@ -134,6 +134,10 @@ def test_trace_rejects_bad_pes_and_latency():
         run_cli(["inspect", "--view", "trace", "--pes", "3"])
     with pytest.raises(SystemExit):
         run_cli(["inspect", "--view", "trace", "--latency", "-1"])
+    with pytest.raises(SystemExit, match="--grid latencies must be >= 0"):
+        run_cli(["inspect", "--view", "critpath", "--grid", "2", "-5"])
+    with pytest.raises(SystemExit, match="--tolerance must be >= 1"):
+        run_cli(["inspect", "--view", "critpath", "--tolerance", "0"])
 
 
 @pytest.mark.parametrize("view, expect", [("health", "Health"),

@@ -51,8 +51,6 @@ def test_critpath_ledger_out_writes_schema2_records(ledger, tmp_path):
         # Real runs are off the dyadic grid: the attribution residual
         # is reported float noise, never silently absorbed.
         assert abs(rec.critpath["residual_s"]) < 1e-12
-        assert rec.profile is not None        # --ledger-out => profiled
-        assert rec.profile["phases"]
         assert rec.config["experiment"] == "critpath"
     assert records[0].same_run(records[1])
     # Each record is also content-addressed under .repro-cache.
@@ -93,7 +91,6 @@ def test_compare_self_is_all_neutral_and_exact(ledger):
     assert not doc["config_changed"]
     assert {c["component"] for c in doc["components"]} >= {
         "compute", "propagation", "retransmit_stall"}
-    assert "scheduler" in doc["phases"]
 
 
 def test_compare_trace_out_is_valid_and_two_sided(ledger, tmp_path):

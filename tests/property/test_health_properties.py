@@ -1,8 +1,7 @@
-"""Property-based tests for the watchdog and the observability governor.
+"""Property-based tests for the watchdog.
 
 The acceptance bar: the watchdog fires if and *only if* its condition
-holds (episode semantics — one event per False -> True transition), and
-governor downgrades are deterministic given a mocked clock.
+holds (episode semantics — one event per False -> True transition).
 
 All tests carry the ``watchdog`` marker so CI can select them with
 ``-m watchdog``.
@@ -16,7 +15,6 @@ from repro.obs.health import (
     HealthConfig,
     HealthMonitor,
     HealthSample,
-    ObsGovernor,
 )
 
 pytestmark = pytest.mark.watchdog
@@ -113,120 +111,3 @@ def test_no_rule_double_fires_within_an_episode(idles):
                 assert any(not c for c, _ in history[last_fire + 1:i])
             last_fire = i
 
-
-# -- governor: ladder dynamics deterministic under a mocked clock ----------
-
-
-@given(steps=st.lists(st.tuples(
-    st.floats(min_value=0.1, max_value=5.0, allow_nan=False),  # wall dt
-    st.floats(min_value=0.0, max_value=2.0, allow_nan=False)),  # cost dt
-    min_size=1, max_size=30),
-    budget=st.floats(min_value=0.01, max_value=0.5, allow_nan=False))
-@settings(**COMMON)
-def test_governor_downgrade_deterministic(steps, budget):
-    def run_once():
-        state = {"t": 0.0, "cost": 0.0}
-        gov = ObsGovernor(budget=budget, clock=lambda: state["t"])
-        gov.add_cost_source("x", lambda: state["cost"])
-        trajectory = []
-        for i, (dt, dc) in enumerate(steps):
-            state["t"] += dt
-            state["cost"] += dc
-            ev = gov.check(float(i))
-            trajectory.append((gov.level, ev.rule if ev else None,
-                              round(gov.overhead_fraction(), 12)))
-        return trajectory, [e.to_dict() for e in gov.events]
-
-    first = run_once()
-    second = run_once()
-    assert first == second
-
-    # Ladder discipline: one rung per check in either direction —
-    # downgrades while over budget, recoveries after a calm stretch.
-    levels = ["full"] + [lvl for lvl, _, _ in first[0]]
-    order = {"full": 0, "sampling": 1, "counters": 2}
-    for prev, cur in zip(levels, levels[1:]):
-        assert abs(order[cur] - order[prev]) <= 1
-
-
-@given(steps=st.lists(st.tuples(
-    st.floats(min_value=0.1, max_value=5.0, allow_nan=False),
-    st.floats(min_value=0.0, max_value=2.0, allow_nan=False)),
-    min_size=1, max_size=30),
-    budget=st.floats(min_value=0.01, max_value=0.5, allow_nan=False))
-@settings(**COMMON)
-def test_governor_transitions_iff_shadow_state_machine(steps, budget):
-    """The governor's level trajectory matches an independently coded
-    shadow of its contract: downgrade one rung when over budget; after
-    ``recovery_patience`` consecutive checks calmer than
-    ``recovery_headroom x budget``, recover one rung; anything else is
-    a no-op.  Event severities tag the direction (warning down, info
-    up)."""
-    state = {"t": 0.0, "cost": 0.0}
-    gov = ObsGovernor(budget=budget, clock=lambda: state["t"])
-    gov.add_cost_source("x", lambda: state["cost"])
-    level, calm = 0, 0
-    for i, (dt, dc) in enumerate(steps):
-        state["t"] += dt
-        state["cost"] += dc
-        fraction = gov.overhead_fraction()
-        ev = gov.check(float(i))
-        if fraction > budget:
-            calm = 0
-            if level < 2:
-                level += 1
-                assert ev is not None and ev.severity == "warning"
-                assert ev.rule == "obs-governor"
-            else:
-                assert ev is None
-        elif level == 0:
-            calm = 0
-            assert ev is None
-        elif fraction > budget * gov.recovery_headroom:
-            calm = 0
-            assert ev is None
-        else:
-            calm += 1
-            if calm >= gov.recovery_patience:
-                calm = 0
-                level -= 1
-                assert ev is not None and ev.severity == "info"
-                assert ev.rule == "obs-governor"
-            else:
-                assert ev is None
-        assert gov.level_index == level
-
-
-def test_governor_recovers_full_ladder_round_trip():
-    """Deterministic end-to-end walk: full -> sampling -> counters under
-    sustained overspend, then all the way back up once the cost stops
-    accruing and the fraction decays below the recovery band."""
-    state = {"t": 0.0, "cost": 0.0}
-    gov = ObsGovernor(budget=0.10, clock=lambda: state["t"],
-                      recovery_headroom=0.5, recovery_patience=2)
-    gov.add_cost_source("x", lambda: state["cost"])
-    seen = []
-    gov.on_downgrade("sampling", lambda: seen.append("down:sampling"))
-    gov.on_downgrade("counters", lambda: seen.append("down:counters"))
-    gov.on_upgrade("sampling", lambda: seen.append("up:sampling"))
-    gov.on_upgrade("full", lambda: seen.append("up:full"))
-
-    # Overspend: cost grows at 50% of wall -> two downgrades to floor.
-    for i in range(3):
-        state["t"] += 1.0
-        state["cost"] += 0.5
-        gov.check(float(i))
-    assert gov.level == "counters"
-    # Calm: cost frozen, wall advances; fraction decays toward zero.
-    # cost=1.5; fraction < 0.05 (headroom x budget) needs t > 30.
-    state["t"] = 40.0
-    ticks = 0
-    while gov.level != "full" and ticks < 10:
-        state["t"] += 5.0
-        gov.check(100.0 + ticks)
-        ticks += 1
-    assert gov.level == "full"
-    assert seen == ["down:sampling", "down:counters",
-                    "up:sampling", "up:full"]
-    severities = [e.severity for e in gov.events]
-    assert severities == ["warning", "warning", "info", "info"]

@@ -1,16 +1,13 @@
-"""Unit tests for the watchdog rules, governor and timed sink."""
+"""Unit tests for the watchdog rules."""
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs.health import (
-    OBS_LEVELS,
     HealthConfig,
     HealthEvent,
     HealthMonitor,
     HealthSample,
-    ObsGovernor,
-    TimedSink,
 )
 
 
@@ -155,136 +152,3 @@ def test_unmasking_respects_warmup():
             sample(float(i), executions=i, idle=0.9, wan_sends=10))
     assert events == []
 
-
-# -- governor --------------------------------------------------------------
-
-
-def fake_clock(start=0.0):
-    state = {"t": start}
-
-    def advance(dt):
-        state["t"] += dt
-
-    return (lambda: state["t"]), advance
-
-
-def test_governor_overhead_fraction_with_mocked_clock():
-    clock, advance = fake_clock()
-    gov = ObsGovernor(budget=None, clock=clock)
-    cost = {"s": 0.0}
-    gov.add_cost_source("x", lambda: cost["s"])
-    advance(10.0)
-    cost["s"] = 1.0
-    assert gov.overhead_fraction() == pytest.approx(0.1)
-    assert gov.overhead_seconds() == 1.0
-
-
-def test_governor_downgrades_one_level_per_check():
-    clock, advance = fake_clock()
-    gov = ObsGovernor(budget=0.05, clock=clock)
-    cost = {"s": 0.0}
-    gov.add_cost_source("x", lambda: cost["s"])
-    seen = []
-    gov.on_downgrade("sampling", lambda: seen.append("sampling"))
-    gov.on_downgrade("counters", lambda: seen.append("counters"))
-
-    advance(10.0)
-    assert gov.check(1.0) is None  # under budget
-    assert gov.level == "full"
-
-    cost["s"] = 5.0  # 50% overhead
-    ev1 = gov.check(2.0)
-    assert gov.level == "sampling" and ev1.rule == "obs-governor"
-    ev2 = gov.check(3.0)
-    assert gov.level == "counters" and ev2 is not None
-    assert gov.check(4.0) is None  # already at the floor
-    assert seen == ["sampling", "counters"]
-    assert [e.t for e in gov.events] == [2.0, 3.0]
-
-
-def test_governor_no_budget_never_downgrades():
-    clock, advance = fake_clock()
-    gov = ObsGovernor(budget=None, clock=clock)
-    gov.add_cost_source("x", lambda: 100.0)
-    advance(1.0)
-    assert gov.check(0.0) is None
-    assert gov.level == OBS_LEVELS[0]
-
-
-def test_governor_as_metrics_shape():
-    gov = ObsGovernor()
-    m = gov.as_metrics()
-    assert set(m) == {"obs.overhead_fraction", "obs.overhead_s",
-                      "obs.level"}
-    assert m["obs.level"] == 0
-
-
-def test_governor_budget_validation():
-    with pytest.raises(ConfigurationError):
-        ObsGovernor(budget=0.0)
-    with pytest.raises(ConfigurationError):
-        ObsGovernor().on_downgrade("turbo", lambda: None)
-
-
-# -- TimedSink -------------------------------------------------------------
-
-
-class _NullSink:
-    enabled = True
-
-    def __init__(self):
-        self.calls = 0
-
-    def begin_execute(self, *a, **kw):
-        self.calls += 1
-
-    def end_execute(self, *a, **kw):
-        self.calls += 1
-
-    def message_sent(self, *a, **kw):
-        self.calls += 1
-
-    def message_delivered(self, *a, **kw):
-        self.calls += 1
-
-    def message_dropped(self, *a, **kw):
-        self.calls += 1
-
-    def note_retransmit(self):
-        self.calls += 1
-
-    def note_dup_suppressed(self):
-        self.calls += 1
-
-
-def test_timed_sink_delegates_and_estimates_cost():
-    clock, advance = fake_clock()
-    inner = _NullSink()
-    # Wrap the clock so each timed window appears to take 1 ms.
-    ticks = {"n": 0}
-
-    def stepping_clock():
-        ticks["n"] += 1
-        advance(0.5e-3)
-        return clock()
-
-    sink = TimedSink(inner, stride=4, clock=stepping_clock)
-    for _ in range(8):
-        sink.note_retransmit()
-    assert inner.calls == 8
-    # Two timed windows (calls 4 and 8), each measured 0.5 ms and scaled
-    # by the stride of 4.
-    assert sink.cost_s == pytest.approx(2 * 0.5e-3 * 4)
-
-
-def test_timed_sink_enabled_tracks_inner():
-    inner = _NullSink()
-    sink = TimedSink(inner)
-    assert sink.enabled
-    inner.enabled = False
-    assert not sink.enabled
-
-
-def test_timed_sink_stride_validation():
-    with pytest.raises(ConfigurationError):
-        TimedSink(_NullSink(), stride=0)

@@ -35,7 +35,7 @@ def fake_step(wall, **components):
     return SimpleNamespace(wall=wall, **vals)
 
 
-def mk_record(name="r", *, steps=4, critpath=None, profile=None,
+def mk_record(name="r", *, steps=4, critpath=None,
               tps=1.0, config=None, extra=None):
     cp = None
     if critpath is not None:
@@ -45,7 +45,7 @@ def mk_record(name="r", *, steps=4, critpath=None, profile=None,
         cp["residual_s"] = 0.0
     return RunRecord(name=name, config=config or {"name": name},
                      time_per_step_s=tps, schema=2, critpath=cp,
-                     profile=profile, extra=extra or {})
+                     extra=extra or {})
 
 
 # -- attribution totals ----------------------------------------------------
@@ -80,9 +80,8 @@ def test_health_rollup_counts_by_rule_and_severity():
 
 
 def test_ledger_key_ignores_wall_clock_fields():
-    a = mk_record(critpath={"compute": 1.0}, profile={"phases": {}})
+    a = mk_record(critpath={"compute": 1.0})
     b = mk_record(critpath={"compute": 1.0},
-                  profile={"phases": {"scheduler": {"wall_s": 9.0}}},
                   extra={"obs_overhead": {"x": 1}})
     b.created = 12345.0
     assert ledger_key(a) == ledger_key(b)
@@ -161,19 +160,32 @@ def test_dedup_only_collapses_the_last_record(tmp_path):
     assert [r.name for r in load_records(path)] == ["a", "b", "a"]
 
 
+def test_append_never_rewrites_earlier_records(tmp_path):
+    """Earlier records go back to disk as stored, keys this version does
+    not know included (a retired ``profile``, an ad-hoc ``note``)."""
+    path = tmp_path / "traj.json"
+    old = mk_record("old", critpath={"compute": 1.0}).to_dict()
+    old["profile"] = {"phases": {"scheduler": {"wall_s": 0.5}}}
+    old["note"] = "hand-annotated"
+    path.write_text(json.dumps([old]))
+    new = mk_record("new", critpath={"compute": 2.0})
+    assert append_record(new, path=str(path), dedup=True) == 2
+    stored = json.loads(path.read_text())
+    assert stored[0] == old
+    assert RunRecord.from_dict(stored[1]).same_run(new)
+
+
 # -- compare_records -------------------------------------------------------
 
 
 def test_self_compare_is_exact_and_all_neutral():
     rec = mk_record(critpath={"compute": 1.0, "propagation": 0.375},
-                    profile={"phases": {"scheduler": {"wall_s": 0.5}}},
                     extra={"net": {"wan_crossings": 8}})
     cmp = compare_records(rec, rec)
     assert cmp.residual_s == 0.0
     assert cmp.exact
     assert cmp.all_neutral
     assert cmp.delta_step_s == 0.0
-    assert cmp.phases["scheduler"]["delta_s"] == 0.0
     assert cmp.net["wan_crossings"]["delta"] == 0
 
 

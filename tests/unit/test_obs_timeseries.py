@@ -92,8 +92,6 @@ def test_sampling_policy_validation():
         SamplingPolicy(interval=0.0)
     with pytest.raises(ConfigurationError):
         SamplingPolicy(ema_alpha=0.0)
-    with pytest.raises(ConfigurationError):
-        SamplingPolicy(overhead_budget=-0.1)
 
 
 # -- TelemetrySampler on a real run ---------------------------------------
@@ -154,30 +152,3 @@ def test_sampler_stop_halts_sampling():
     env.sampler.stop()
     app.run(4)
     assert env.sampler.ticks == 0
-
-
-def test_sampler_pause_keeps_heartbeat_but_records_nothing():
-    env = artificial_latency_env(4, ms(2.0), sampling=True)
-    app = StencilApp(env, mesh=(256, 256), objects=16, payload="modeled")
-    env.sampler.pause()
-    app.run(4)
-    # Paused: no recorded ticks, no series — but the tick heartbeat kept
-    # firing (cost accrues from the two clock reads per tick), which is
-    # what lets the governor observe calm and recover.
-    assert env.sampler.ticks == 0
-    assert not env.sampler.series
-    assert env.sampler.recording is False
-    assert env.sampler.enabled is True
-
-
-def test_sampler_resume_restarts_recording():
-    env = artificial_latency_env(4, ms(2.0), sampling=True)
-    app = StencilApp(env, mesh=(256, 256), objects=16, payload="modeled")
-    env.sampler.pause()
-    app.run(2)
-    assert env.sampler.ticks == 0
-    env.sampler.resume()
-    env.sampler.resume()  # idempotent
-    app.run(2)
-    assert env.sampler.ticks > 0
-    assert "util.mean_ema" in env.sampler.series
