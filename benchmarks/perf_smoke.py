@@ -444,7 +444,6 @@ def main(argv=None):
         extra={"mesh": list(MESH)})
     os.environ[BENCH_LOG_ENV] = args.log
     maybe_log_trajectory(point, result, env,
-                         compute_share=summary["compute_share"],
                          steps_attribution=steps,
                          dedup=not args.keep_dups,
                          extra={"obs_overhead": obs,

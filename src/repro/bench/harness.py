@@ -10,8 +10,6 @@ from __future__ import annotations
 import os
 from typing import Optional, Tuple
 
-import numpy as np
-
 from repro.apps.collectives import AmpiCollectiveBenchApp, CollectiveBenchApp
 from repro.apps.leanmd import LeanMDApp
 from repro.apps.stencil import AmpiStencilApp, StencilApp
@@ -60,19 +58,7 @@ def _obs_extra(env) -> dict:
     return extra
 
 
-def _median_step_s(result) -> float:
-    """Median steady-state step time from a result's completion times."""
-    times = np.asarray(result.step_times, dtype=np.float64)
-    warmup = getattr(result, "warmup", 0)
-    window = times[warmup:] if len(times) > warmup + 1 else times
-    diffs = np.diff(window)
-    if len(diffs) == 0:
-        return float(result.time_per_step)
-    return float(np.median(diffs))
-
-
 def maybe_log_trajectory(point: ExperimentPoint, result, env,
-                         compute_share: Optional[float] = None,
                          extra: Optional[dict] = None,
                          steps_attribution=None,
                          dedup: bool = True) -> None:
@@ -111,9 +97,6 @@ def maybe_log_trajectory(point: ExperimentPoint, result, env,
              f"@{point.latency_ms:g}ms",
         config=config, result=result, env=env,
         steps_attribution=steps_attribution, extra=extra)
-    record.time_per_step_s = _median_step_s(result)
-    if record.critpath_compute_share is None:
-        record.critpath_compute_share = compute_share
     append_record(record, dedup=dedup, **path_kwargs)
 
 

@@ -145,9 +145,6 @@ class Runtime:
         self.scheduler = Scheduler(self)
         self.reductions = ReductionManager(self)
         self.lb_db = LBDatabase()
-        #: Optional observability registry (set by GridEnvironment);
-        #: load balancing and migration publish counters into it.
-        self.metrics = None
         self._collections: Dict[int, _Collection] = {}
         self._next_collection = 0
         self._awaiting_arrival: Dict[ChareID, List[Message]] = {}
@@ -529,23 +526,12 @@ class Runtime:
         quiescent point (typically from a reduction callback).
         """
         mapping = self.current_mapping()
-        if self.metrics is not None:
-            from repro.core.loadbalance.base import imbalance, pe_loads
-            self.metrics.gauge("lb.imbalance_before").set(
-                imbalance(pe_loads(self.lb_db, self.topology, mapping)))
         plan = strategy.plan(self.lb_db, self.topology, mapping)
         applied: Dict[ChareID, int] = {}
         for chare_id, new_pe in sorted(plan.items()):
             if self.pe_of(chare_id) != new_pe:
                 self.migrate(chare_id, new_pe)
                 applied[chare_id] = new_pe
-        if self.metrics is not None:
-            self.metrics.counter("lb.rounds").inc()
-            self.metrics.counter("lb.migrations_planned").inc(len(plan))
-            self.metrics.counter("lb.migrations_applied").inc(len(applied))
-            self.metrics.gauge("lb.imbalance_planned").set(
-                imbalance(pe_loads(self.lb_db, self.topology,
-                                   {**mapping, **plan})))
         self.lb_db.reset()
         return applied
 

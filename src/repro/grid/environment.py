@@ -2,9 +2,9 @@
 
 :class:`GridEnvironment` wires together the pieces every experiment
 needs — engine, topology, VMI chain, fabric, tracer, RNG streams, the
-observability surface (metrics registry + streaming trace aggregation),
-and the message-driven runtime — so application drivers and benchmarks
-deal with a single object.
+observability surface (a pull-only metrics registry plus the streaming
+trace aggregation), and the message-driven runtime — so application
+drivers and benchmarks deal with a single object.
 """
 
 from __future__ import annotations
@@ -26,6 +26,13 @@ from repro.sim.trace import TraceAggregator, Tracer
 
 class GridEnvironment:
     """One ready-to-run simulated grid.
+
+    :attr:`metrics` is a pull-only
+    :class:`~repro.obs.metrics.MetricsRegistry` over the engine, fabric,
+    reliable-transport (when ``reliable``) and per-PE stat structs.  It
+    has the same keys whatever ``trace``, ``stats`` and
+    ``object_stats`` say; trace statistics are read from
+    :attr:`aggregator` instead.
 
     Parameters
     ----------
@@ -93,13 +100,12 @@ class GridEnvironment:
         self.metrics = MetricsRegistry()
         self.aggregator: Optional[TraceAggregator]
         if trace:
-            self.tracer = Tracer(metrics=self.metrics, objects=object_stats)
+            self.tracer = Tracer(objects=object_stats)
             self.aggregator = self.tracer
         else:
             self.tracer = Tracer(enabled=False)
-            self.aggregator = (
-                TraceAggregator(metrics=self.metrics, objects=object_stats)
-                if stats else None)
+            self.aggregator = (TraceAggregator(objects=object_stats)
+                               if stats else None)
         if health and sampling is None:
             sampling = True
         sampling_policy: Optional[SamplingPolicy]
@@ -119,7 +125,6 @@ class GridEnvironment:
         else:
             self.transport = self.fabric
         self.runtime = Runtime(self.engine, self.transport, config)
-        self.runtime.metrics = self.metrics
         if health:
             cfg = health if isinstance(health, HealthConfig) else None
             self.monitor: Optional[HealthMonitor] = HealthMonitor(cfg)
@@ -143,7 +148,7 @@ class GridEnvironment:
         return []
 
     def _register_collectors(self) -> None:
-        """Pull the scattered stat structs into the metrics registry."""
+        """Register the pull collectors behind :attr:`metrics`."""
         m = self.metrics
         engine = self.engine
         m.register_collector("engine", lambda: {

@@ -5,9 +5,9 @@ Projections tool renders the timeline that proves WAN latency is hidden
 behind other objects' work.  This package is the reproduction's
 Projections-grade surface:
 
-* :mod:`repro.obs.metrics` — a process-wide :class:`MetricsRegistry` of
-  named counters, gauges and log-bucketed histograms that the runtime,
-  network and load-balancing layers publish into;
+* :mod:`repro.obs.metrics` — :class:`MetricsRegistry`, a pull-only
+  view that reads the engine, fabric, reliable-transport and per-PE
+  stat structs at snapshot time (nothing publishes into it);
 * :mod:`repro.obs.export` — Chrome trace-event JSON (open the file in
   ``chrome://tracing`` or https://ui.perfetto.dev) and a JSON-lines
   structured event log, both generated from a recorded
@@ -38,9 +38,9 @@ Projections-grade surface:
   components *exactly* (the component deltas sum to the total delta
   with zero residual under exact arithmetic).
 
-Apart from the sampler timing its own ticks, everything here measures
-the *simulated* clock.  Host wall time is measured from outside the
-library, by the span tracer in ``benchmarks/e2e/spans.py``.
+Everything here measures the *simulated* clock.  Host wall time is
+measured from outside the library, by the span tracer in
+``benchmarks/e2e/spans.py``.
 """
 
 from repro.obs.critpath import (
@@ -69,7 +69,7 @@ from repro.obs.health import (
     HealthMonitor,
     HealthSample,
 )
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.objview import (
     Advice,
     ObjectView,
@@ -131,9 +131,6 @@ __all__ = [
     "render_attribution",
     "replay_with_latency",
     "summarize_attribution",
-    "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "Advice",
     "ObjectView",

@@ -19,15 +19,16 @@ storing every event.  This module adds the missing middle layer:
   also offered to a :class:`~repro.obs.health.HealthMonitor` so watchdog
   rules run *during* the simulation, not after it.
 
-The sampler self-times every tick with a wall clock (injectable for
-tests) and reports that cost as ``cost_s`` in its :meth:`summary`.
+Every value the sampler records or reports is read off the simulated
+run, so two same-seed runs produce equal :meth:`TelemetrySampler.summary`
+dicts.  Its host-time cost is measured from outside the library, by
+the sampling bar in ``benchmarks/perf_smoke.py``.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -193,26 +194,20 @@ class TelemetrySampler:
     monitor:
         A :class:`~repro.obs.health.HealthMonitor` offered every sample;
         events it emits accumulate in :attr:`health_events`.
-    clock:
-        Wall-clock source for self-timing (injectable in tests).
     """
 
     def __init__(self, engine, runtime, policy: Optional[SamplingPolicy] = None,
-                 *, transport=None, aggregator=None, monitor=None,
-                 clock: Callable[[], float] = time.perf_counter) -> None:
+                 *, transport=None, aggregator=None, monitor=None) -> None:
         self.engine = engine
         self.runtime = runtime
         self.policy = policy or SamplingPolicy()
         self.transport = transport
         self.aggregator = aggregator
         self.monitor = monitor
-        self.clock = clock
         self.enabled = True
         self.series: Dict[str, TimeSeries] = {}
         self.health_events: List = []
         self.ticks = 0
-        #: Cumulative wall seconds spent inside ticks.
-        self.cost_s = 0.0
         self._started = False
         self._last_t: Optional[float] = None
         self._prev_busy: Dict[int, float] = {}
@@ -254,10 +249,8 @@ class TelemetrySampler:
     def _tick(self) -> None:
         if not self.enabled:
             return
-        t0 = self.clock()
         self._sample(self.engine.now)
         self.ticks += 1
-        self.cost_s += self.clock() - t0
         self.engine.post_in(self.policy.interval, self._tick, daemon=True)
 
     def _sample(self, now: float) -> None:
@@ -371,7 +364,6 @@ class TelemetrySampler:
         out: Dict[str, object] = {
             "ticks": self.ticks,
             "interval_s": self.policy.interval,
-            "cost_s": self.cost_s,
             "series": {},
         }
         for name in sorted(self.series):

@@ -188,28 +188,6 @@ class Engine:
 
     # -- execution ------------------------------------------------------------
 
-    def step(self) -> bool:
-        """Fire the single next event.  Returns ``False`` when queue is empty."""
-        while self._queue:
-            entry = heapq.heappop(self._queue)
-            when, _seq, state, action, args, daemon = entry
-            if state is _CANCELLED:  # lazily cancelled
-                self._cancelled_in_queue -= 1
-                continue
-            if daemon:
-                self._daemon_live -= 1
-            entry[_STATE] = _FIRED
-            self._now = when
-            self._events_processed += 1
-            if (self._max_events is not None
-                    and self._events_processed > self._max_events):
-                raise SimulationError(
-                    f"exceeded max_events={self._max_events}; "
-                    "likely a livelock in the simulated system")
-            action(*args)
-            return True
-        return False
-
     def run(self, until: Optional[float] = None) -> float:
         """Drain the event queue.
 
@@ -260,7 +238,7 @@ class Engine:
         return self._now
 
     def _run_bounded(self, bound: float, *, strict: bool) -> None:
-        """Inlined bounded dispatch loop shared by :meth:`run` and
+        """The bounded dispatch loop, shared by :meth:`run` and
         :meth:`run_window`.
 
         Mirrors :meth:`_run_all` — queue, ``heappop`` and the max-events
@@ -269,8 +247,7 @@ class Engine:
         and accounted here, exactly once).  ``strict`` selects the
         window semantics: inclusive (``when <= bound`` fires, for
         ``run(until=...)``) or exclusive (``when < bound``, for
-        :meth:`run_window`).  Any behavioral change here must land in
-        :meth:`step` too (and vice versa).
+        :meth:`run_window`).
         """
         queue = self._queue
         pop = heapq.heappop
@@ -298,17 +275,15 @@ class Engine:
             entry[_ACTION](*entry[_ARGS])
 
     def _run_all(self) -> None:
-        """Run-until-quiescence fast path: :meth:`step` inlined.
+        """The unbounded dispatch loop: run until quiescence.
 
-        Semantically identical to ``while self.pending > 0: self.step()``
-        but with the queue, ``heappop`` and the max-events limit held in
-        locals and no property/method call per event.  This is the loop
-        every simulation spends its life in, so the constant factor
-        matters; any behavioral change here must land in :meth:`step`
-        too (and vice versa).  ``pending > 0`` guarantees a live
-        non-daemon event, so the pop loop always fires something; daemon
-        events fire too (in time order) but cannot keep the loop alive
-        alone.
+        Fires events in time order while ``pending > 0``, with the
+        queue, ``heappop`` and the max-events limit held in locals and
+        no property/method call per event.  This is the loop every
+        simulation spends its life in, so the constant factor matters.
+        ``pending > 0`` guarantees a live non-daemon event, so the pop
+        loop always fires something; daemon events fire too (in time
+        order) but cannot keep the loop alive alone.
         """
         queue = self._queue
         pop = heapq.heappop

@@ -42,7 +42,6 @@ import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING,
     Dict,
     Iterable,
     List,
@@ -53,9 +52,6 @@ from typing import (
 )
 
 from repro.network.hops import HopLedger
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycle)
-    from repro.obs.metrics import MetricsRegistry
 
 #: ``slots=True`` keeps the two per-event hot allocations small enough
 #: that tracing stays affordable in big sweeps; the keyword only exists
@@ -960,6 +956,11 @@ class TraceAggregator:
     * per-lane link usage from hop ledgers (:meth:`link_usage`);
     * per-object profiles and the comm matrix (:attr:`objview`).
 
+    Each statistic is computed here once and read from here
+    (:meth:`summary` and the accessors above); none is mirrored into
+    the environment's pull-only
+    :class:`~repro.obs.metrics.MetricsRegistry`.
+
     The only state that scales beyond O(PEs + entry kinds) is the
     per-message bookkeeping the semantics require: windows currently in
     flight, and the set of already-delivered sequence ids (small ints)
@@ -972,11 +973,6 @@ class TraceAggregator:
 
     Parameters
     ----------
-    metrics:
-        Optional :class:`~repro.obs.metrics.MetricsRegistry`; when
-        given, the aggregator records execution-duration and WAN
-        flight-time histograms into it and registers a collector for
-        its derived values under ``trace.*``.
     objects:
         Fold per-object profiles and the object x object communication
         matrix online (default on; an :class:`ObjectFold` at
@@ -985,8 +981,7 @@ class TraceAggregator:
         overhead under 5 %).
     """
 
-    def __init__(self, metrics: Optional["MetricsRegistry"] = None,
-                 objects: bool = True) -> None:
+    def __init__(self, objects: bool = True) -> None:
         self.enabled = True
         #: Streaming per-object fold (``None`` when ``objects=False``).
         self.objview: Optional[ObjectFold] = ObjectFold() if objects \
@@ -1024,12 +1019,6 @@ class TraceAggregator:
         self._wan_delivered: set = set()
         #: Per-lane usage folded online from hop ledgers (flight recorder).
         self._links: Dict[str, LinkUsage] = {}
-        self._metrics = metrics
-        if metrics is not None:
-            self._h_exec = metrics.histogram("trace.exec_duration_s")
-            self._h_flight = metrics.histogram("trace.wan_flight_s")
-            self._h_depth = metrics.histogram("net.queue_depth")
-            metrics.register_collector("trace", self._metric_values)
 
     # -- recording -------------------------------------------------------
 
@@ -1106,8 +1095,6 @@ class TraceAggregator:
                     lo = win.send_time if win.send_time > start else start
                     if now > lo:
                         win.overlap += now - lo
-        if self._metrics is not None:
-            self._h_exec.record(duration)
 
     def message_sent(self, now: float, src_pe: int, dst_pe: int, size: int,
                      tag: str, crossed_wan: bool,
@@ -1187,8 +1174,6 @@ class TraceAggregator:
         self.wan.windows += 1
         self.wan.flight_time += now - win.send_time
         self.wan.masked_time += win.overlap
-        if self._metrics is not None:
-            self._h_flight.record(now - win.send_time)
 
     def message_dropped(self, now: float, src_pe: int, dst_pe: int,
                         size: int, tag: str, crossed_wan: bool,
@@ -1222,9 +1207,6 @@ class TraceAggregator:
         if not self.enabled:
             return
         fold_hops(self._links, hops, crossed_wan)
-        if self._metrics is not None:
-            for h in hops:
-                self._h_depth.record(float(h.queue_depth))
 
     # -- analysis --------------------------------------------------------
 
@@ -1318,28 +1300,6 @@ class TraceAggregator:
             }
         return out
 
-    def _metric_values(self) -> Dict[str, float]:
-        """Derived values pulled into the metrics registry snapshot."""
-        values = {
-            "trace.makespan_s": self.makespan(),
-            "trace.executions": float(
-                sum(u.executions for u in self._usage.values())),
-            "trace.busy_time_s": sum(u.busy for u in self._usage.values()),
-            "trace.messages_sent": float(self.sends),
-            "trace.wan_windows": float(self.wan.windows),
-            "trace.wan_flight_time_s": self.wan.flight_time,
-            "trace.wan_masked_time_s": self.wan.masked_time,
-            "trace.masked_fraction": self.wan.masked_fraction,
-        }
-        values["net.lanes"] = float(len(self._links))
-        values["net.crossings"] = float(
-            sum(u.crossings for u in self._links.values()))
-        values["net.busy_time_s"] = sum(
-            u.busy_s for u in self._links.values())
-        values["net.queue_time_s"] = sum(
-            u.queue_s for u in self._links.values())
-        return values
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"TraceAggregator(pes={len(self._usage)}, "
                 f"executions={sum(u.executions for u in self._usage.values())}, "
@@ -1363,14 +1323,12 @@ class Tracer(TraceAggregator):
         When ``False`` every recording call is a cheap no-op and
         stored-event queries raise ``ValueError`` (the caller asked for
         data that was never collected, which is a bug worth surfacing).
-    metrics, objects:
+    objects:
         As for :class:`TraceAggregator`.
     """
 
-    def __init__(self, enabled: bool = True,
-                 metrics: Optional["MetricsRegistry"] = None,
-                 objects: bool = True) -> None:
-        super().__init__(metrics=metrics, objects=objects)
+    def __init__(self, enabled: bool = True, objects: bool = True) -> None:
+        super().__init__(objects=objects)
         self.enabled = enabled
         self.intervals: List[ExecInterval] = []
         self.messages: List[MessageEvent] = []

@@ -74,3 +74,34 @@ def test_object_buffer_bounded_and_drains_never_change_the_fold(
     assert peak > limit          # this run really buffered to the end
     assert ObjectView.from_source(bounded.aggregator).to_dict() == \
         ObjectView.from_source(unbounded.aggregator).to_dict()
+
+
+# -- the metrics registry: one pull view in every obs mode -------------------
+
+def test_registry_snapshot_same_in_every_obs_mode():
+    runs = []
+    for obs in ({"stats": False}, {}, {"trace": True}):
+        env = artificial_latency_env(8, ms(8.0), routing="hierarchical",
+                                     wan_streams=2, **obs)
+        StencilApp(env, mesh=(256, 256), objects=32,
+                   payload="modeled").run(4)
+        runs.append((env, env.metrics.snapshot()))
+    (_, off), (_, stats), (_, full) = runs
+    assert set(off) == set(stats) == set(full)
+    # The registry reads simulated state only, and no obs mode moves it.
+    assert off == stats == full
+    for env, snap in runs:
+        # The keys the e2e benchmark's per-layer counters read: a missing
+        # one would silently count as 0 there.
+        for ps in env.runtime.scheduler.pes:
+            assert snap[f"pe.{ps.pe}.executions"] == ps.stats.executions
+            assert snap[f"pe.{ps.pe}.queue_hwm"] == ps.queue.high_water
+        fabric = env.fabric.stats
+        assert snap["fabric.messages_total"] == fabric.total_messages > 0
+        assert snap["fabric.bytes_total"] == fabric.total_bytes
+        wan = {k: v for k, v in snap.items()
+               if k.startswith("fabric.wan") and k.endswith(".messages")}
+        assert wan == {f"fabric.{name}.messages": n
+                       for name, n in fabric.messages.items()
+                       if name.startswith("wan")}
+        assert sum(wan.values()) > 0

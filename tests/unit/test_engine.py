@@ -115,19 +115,6 @@ def test_run_until_inclusive_of_boundary():
     assert fired == [3]
 
 
-def test_step_returns_false_when_empty():
-    assert Engine().step() is False
-
-
-def test_step_fires_single_event():
-    eng = Engine()
-    fired = []
-    eng.post(1.0, lambda: fired.append(1))
-    eng.post(2.0, lambda: fired.append(2))
-    assert eng.step() is True
-    assert fired == [1]
-
-
 def test_max_events_guards_livelock():
     eng = Engine(max_events=10)
 

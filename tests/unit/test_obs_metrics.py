@@ -1,114 +1,17 @@
-"""Unit tests for the observability metrics registry."""
+"""Unit tests for the pull-only observability metrics registry."""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    default_registry,
-)
-
-
-# -- Counter / Gauge ---------------------------------------------------------
-
-def test_counter_increments():
-    c = Counter("x")
-    c.inc()
-    c.inc(5)
-    assert c.value == 6
-
-
-def test_counter_rejects_decrease():
-    with pytest.raises(ConfigurationError):
-        Counter("x").inc(-1)
-
-
-def test_gauge_sets():
-    g = Gauge("depth")
-    g.set(3)
-    g.set(1.5)
-    assert g.value == 1.5
-
-
-# -- Histogram ---------------------------------------------------------------
-
-def test_histogram_bucket_boundaries():
-    h = Histogram("d", least=1.0, growth=2.0)
-    assert h.bucket_index(0.5) == -1      # underflow
-    assert h.bucket_index(1.0) == 0
-    assert h.bucket_index(1.999) == 0
-    assert h.bucket_index(2.0) == 1
-    assert h.bucket_index(4.0) == 2
-    assert h.bucket_bounds(-1) == (0.0, 1.0)
-    assert h.bucket_bounds(1) == (2.0, 4.0)
-
-
-def test_histogram_stats():
-    h = Histogram("d", least=1.0)
-    for v in (0.0, 1.0, 3.0, 8.0):
-        h.record(v)
-    assert h.count == 4
-    assert h.total == pytest.approx(12.0)
-    assert h.mean == pytest.approx(3.0)
-    assert h.min == 0.0
-    assert h.max == 8.0
-    d = h.to_dict()
-    assert d["count"] == 4 and d["max"] == 8.0
-
-
-def test_histogram_quantile_brackets_samples():
-    h = Histogram("d", least=1.0, growth=2.0)
-    for v in (1.0, 1.5, 3.0, 100.0):
-        h.record(v)
-    assert h.quantile(0.0) <= h.quantile(0.5) <= h.quantile(1.0)
-    assert h.quantile(1.0) == 100.0       # clipped to the observed max
-    assert h.quantile(0.5) <= 4.0         # within the bucket covering 1.5
-    assert Histogram("e").quantile(0.5) == 0.0
-
-
-def test_histogram_rejects_bad_config_and_samples():
-    with pytest.raises(ConfigurationError):
-        Histogram("d", least=0.0)
-    with pytest.raises(ConfigurationError):
-        Histogram("d", growth=1.0)
-    with pytest.raises(ConfigurationError):
-        Histogram("d").record(-1.0)
-    with pytest.raises(ConfigurationError):
-        Histogram("d").quantile(1.5)
-
-
-# -- MetricsRegistry ---------------------------------------------------------
-
-def test_registry_get_or_create():
-    reg = MetricsRegistry()
-    assert reg.counter("a") is reg.counter("a")
-    assert reg.gauge("b") is reg.gauge("b")
-    assert reg.histogram("c") is reg.histogram("c")
-
-
-def test_registry_rejects_cross_kind_collision():
-    reg = MetricsRegistry()
-    reg.counter("x")
-    with pytest.raises(ConfigurationError):
-        reg.gauge("x")
-    with pytest.raises(ConfigurationError):
-        reg.histogram("x")
+from repro.obs.metrics import MetricsRegistry
 
 
 def test_registry_snapshot_merges_and_sorts():
     reg = MetricsRegistry()
-    reg.counter("z.count").inc(2)
-    reg.gauge("a.depth").set(7)
-    reg.histogram("h", least=1.0).record(2.0)
+    reg.register_collector("late", lambda: {"z.count": 2, "a.depth": 7})
     reg.register_collector("src", lambda: {"m.pulled": 42})
     snap = reg.snapshot()
-    assert snap["z.count"] == 2
-    assert snap["a.depth"] == 7
-    assert snap["h.count"] == 1 and snap["h.mean"] == pytest.approx(2.0)
-    assert snap["m.pulled"] == 42
+    assert snap == {"a.depth": 7, "m.pulled": 42, "z.count": 2}
     assert list(snap) == sorted(snap)
 
 
@@ -121,20 +24,20 @@ def test_registry_collector_replacement():
 
 def test_registry_collector_name_clash_raises():
     reg = MetricsRegistry()
-    reg.counter("v").inc()
+    reg.register_collector("first", lambda: {"v": 1})
     reg.register_collector("src", lambda: {"v": 9})
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="'src' redefines"):
         reg.snapshot()
 
 
 def test_registry_get_and_render():
     reg = MetricsRegistry()
-    reg.counter("runs").inc(3)
+    runs = [3]
+    reg.register_collector("src", lambda: {"runs": runs[0], "rate": 0.5})
     assert reg.get("runs") == 3
+    runs[0] = 4                      # pulled again at every query
+    assert reg.get("runs") == 4
     assert reg.get("missing", default=0) == 0
-    assert "runs" in reg.render()
+    text = reg.render()
+    assert "runs" in text and "0.5" in text
     assert MetricsRegistry().render() == "(no metrics)"
-
-
-def test_default_registry_is_singleton():
-    assert default_registry() is default_registry()

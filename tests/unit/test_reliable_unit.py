@@ -198,7 +198,7 @@ def test_backoff_grows_and_caps():
             if pend is None:
                 break
             rtos.append(pend.rto)
-            engine.step()
+            engine.run(until=pend.timer.time)
     except RetransmitError:
         pass
     deltas = [b / a for a, b in zip(rtos, rtos[1:])]
