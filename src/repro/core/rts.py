@@ -48,7 +48,7 @@ from repro.network.message import (
 )
 from repro.network.topology import GridTopology
 from repro.sim.engine import Engine
-from repro.sim.trace import TraceSink
+from repro.sim.trace import TraceAggregator
 
 
 @dataclass
@@ -165,7 +165,7 @@ class Runtime:
         return self.fabric.topology
 
     @property
-    def tracer(self) -> Optional[TraceSink]:
+    def tracer(self) -> Optional[TraceAggregator]:
         return self.fabric.tracer
 
     @property
@@ -377,7 +377,7 @@ class Runtime:
         if relay_hop:
             msg.relay_hop = relay_hop
         tracer = self.tracer
-        if tracer is not None and tracer.enabled:
+        if tracer is not None:
             # Object attribution for the trace sinks.  Labels are stamped
             # only when tracing is on, so the obs-off hot path is
             # byte-for-byte the seed's (two None slot writes aside).

@@ -144,7 +144,7 @@ class Scheduler:
         engine = rts.engine
         t0 = engine.now
         ctx = ExecutionContext(pe=ps.pe)
-        tracing = rts.tracer is not None and rts.tracer.enabled
+        tracing = rts.tracer is not None
         if tracing:
             ctx.exec_id = self._next_exec_id
             self._next_exec_id += 1
@@ -187,7 +187,7 @@ class Scheduler:
             self._current = None
 
         total = rts.config.scheduler_overhead + static_cost + ctx.charged
-        if tracing and rts.tracer.enabled:
+        if tracing:
             # Object label: set only for entry methods that actually ran
             # on a chare here (ctx.chare_id is filled by _run_invocation);
             # runtime-internal work (<rts>, <driver>) stays unattributed.
@@ -248,7 +248,7 @@ class Scheduler:
                 total: float) -> None:
         rts = self._rts
         now = rts.engine.now
-        if rts.tracer is not None and rts.tracer.enabled:
+        if rts.tracer is not None:
             rts.tracer.end_execute(ps.pe, now)
         ps.stats.executions += 1
         ps.stats.busy_time += total

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from repro.core.rts import Runtime, RuntimeConfig
+from repro.errors import ConfigurationError
 from repro.network.chain import DeviceChain
 from repro.network.fabric import NetworkFabric
 from repro.network.reliable import ReliableTransport, RetransmitPolicy
@@ -49,7 +50,8 @@ class GridEnvironment:
         plus an event store (memory grows with event count; needed for
         timelines, causal graphs and Chrome-trace export).  The one
         :class:`~repro.sim.trace.Tracer` is then both :attr:`tracer`
-        and :attr:`aggregator`, so it implies ``stats``.
+        and :attr:`aggregator`, so it implies ``stats``.  Without it
+        :attr:`tracer` is ``None``.
     stats:
         Enable streaming trace aggregation (default on): PE
         utilization, per-entry profiles and the masked-latency fraction
@@ -82,7 +84,9 @@ class GridEnvironment:
         (:class:`~repro.obs.health.HealthMonitor`): ``True`` for the
         default :class:`~repro.obs.health.HealthConfig`, or a config to
         tune thresholds.  Implies ``sampling`` (the watchdog feeds on
-        sampler snapshots).  Fired events are at :attr:`health_events`.
+        sampler snapshots), so an explicitly false ``sampling`` with
+        ``health`` raises :class:`~repro.errors.ConfigurationError`.
+        Fired events are at :attr:`health_events`.
     """
 
     def __init__(self, topology: GridTopology, chain: DeviceChain, *,
@@ -93,19 +97,21 @@ class GridEnvironment:
                  reliable: Union[bool, RetransmitPolicy, None] = None,
                  sampling: Union[bool, SamplingPolicy, None] = None,
                  health: Union[bool, HealthConfig, None] = None) -> None:
+        if health and sampling is not None and not sampling:
+            raise ConfigurationError(
+                "health needs the telemetry sampler (the watchdog feeds "
+                f"on its snapshots); got sampling={sampling!r}")
         self.topology = topology
         self.chain = chain
         self.streams = RandomStreams(seed)
         self.engine = Engine(max_events=max_events)
         self.metrics = MetricsRegistry()
-        self.aggregator: Optional[TraceAggregator]
+        self.tracer: Optional[Tracer] = None
+        self.aggregator: Optional[TraceAggregator] = None
         if trace:
-            self.tracer = Tracer(objects=object_stats)
-            self.aggregator = self.tracer
-        else:
-            self.tracer = Tracer(enabled=False)
-            self.aggregator = (TraceAggregator(objects=object_stats)
-                               if stats else None)
+            self.tracer = self.aggregator = Tracer(objects=object_stats)
+        elif stats:
+            self.aggregator = TraceAggregator(objects=object_stats)
         if health and sampling is None:
             sampling = True
         sampling_policy: Optional[SamplingPolicy]

@@ -21,7 +21,7 @@ from repro.network.chain import DeviceChain
 from repro.network.message import Message
 from repro.network.topology import GridTopology
 from repro.sim.engine import Engine
-from repro.sim.trace import TraceSink
+from repro.sim.trace import TraceAggregator
 
 DeliverFn = Callable[[Message], None]
 
@@ -103,16 +103,17 @@ class NetworkFabric:
         Optional RNG consulted by jittered links; omit for fully
         deterministic artificial-latency runs.
     tracer:
-        Optional trace sink (a :class:`~repro.sim.trace.Tracer`,
-        :class:`~repro.sim.trace.TraceAggregator`, or
-        :class:`~repro.sim.trace.TraceFanout`) receiving send/deliver
-        events.
+        The run's recorder (a :class:`~repro.sim.trace.TraceAggregator`
+        or :class:`~repro.sim.trace.Tracer`), or ``None`` to record
+        nothing.  Attached means on: the fabric, scheduler and runtime
+        record into it, hop ledgers included, whenever it is not
+        ``None``.
     """
 
     def __init__(self, engine: Engine, topology: GridTopology,
                  chain: DeviceChain,
                  rng: Optional[np.random.Generator] = None,
-                 tracer: Optional[TraceSink] = None) -> None:
+                 tracer: Optional[TraceAggregator] = None) -> None:
         self.engine = engine
         self.topology = topology
         self.chain = chain
@@ -150,12 +151,12 @@ class NetworkFabric:
         msg.crossed_wan = crossed_wan
 
         tracer = self.tracer
-        # Flight recorder: collect per-device hop spans only when a live
-        # sink wants them.  With tracing off this send takes the exact
-        # code path (and float expressions) of the seed, so virtual-time
-        # results are bit-identical with observability disabled.
-        want_hops = (tracer is not None and tracer.enabled
-                     and hasattr(tracer, "message_hops"))
+        # Flight recorder: collect per-device hop spans only when a
+        # recorder is attached.  With tracing off this send takes the
+        # exact code path (and float expressions) of the seed, so
+        # virtual-time results are bit-identical with observability
+        # disabled.
+        want_hops = tracer is not None
         ledger: Optional[list] = [] if want_hops else None
         route = self.chain.resolve(msg, self.topology, self.rng,
                                    now=now, ledger=ledger)

@@ -39,7 +39,7 @@ from repro.network.fabric import DeliverFn, FabricStats, NetworkFabric
 from repro.network.message import Message
 from repro.network.topology import GridTopology
 from repro.sim.engine import Engine, EventHandle
-from repro.sim.trace import TraceSink
+from repro.sim.trace import TraceAggregator
 
 
 @dataclass(frozen=True)
@@ -170,7 +170,7 @@ class ReliableTransport:
         return self.fabric.topology
 
     @property
-    def tracer(self) -> Optional[TraceSink]:
+    def tracer(self) -> Optional[TraceAggregator]:
         return self.fabric.tracer
 
     @property

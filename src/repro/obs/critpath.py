@@ -324,21 +324,19 @@ class CausalGraph:
     @classmethod
     def from_tracer(cls, tracer: Tracer) -> "CausalGraph":
         """Build the DAG from a batch trace recorded with causal ids."""
-        if not tracer.enabled:
+        if not isinstance(tracer, Tracer):
             raise ConfigurationError(
-                "cannot build a causal graph from a disabled tracer "
-                "(run with trace=True)")
+                "a causal graph needs the stored events of a Tracer "
+                f"(run with trace=True); got {type(tracer).__name__}")
         spans: Dict[int, Span] = {}
         for iv in tracer.intervals:
             if iv.sid is None:
-                continue  # pre-causal producer; no node identity
+                continue  # recorded without a span id: no node identity
             spans[iv.sid] = Span(iv.sid, iv.pe, iv.start, iv.end,
                                  iv.chare, iv.entry, iv.parent, iv.trigger,
                                  obj=iv.obj)
         messages: Dict[int, MessageRecord] = {}
         for ev in tracer.messages:
-            if ev.seq is None:
-                continue
             rec = messages.get(ev.seq)
             if rec is None:
                 rec = messages[ev.seq] = MessageRecord(
@@ -352,9 +350,7 @@ class CausalGraph:
                     rec.delivered = ev.time
             elif ev.kind == "drop":
                 rec.drops += 1
-        for ev in getattr(tracer, "hops", ()):
-            if ev.seq is None:
-                continue
+        for ev in tracer.hops:
             rec = messages.get(ev.seq)
             if rec is not None:
                 rec.ledgers.setdefault(ev.arrival, ev.hops)

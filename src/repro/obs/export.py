@@ -117,7 +117,7 @@ def chrome_trace_events(tracer: Tracer,
                 "args": {"src_pe": ev.src_pe, "dst_pe": ev.dst_pe,
                          "tag": ev.tag},
             })
-        elif ev.kind == "send" and ev.seq is not None:
+        elif ev.kind == "send":
             key = (ev.src_pe, ev.dst_pe, ev.seq)
             if key in seen_sends:
                 events.append({
@@ -136,9 +136,8 @@ def chrome_trace_events(tracer: Tracer,
     # the execution the delivery triggered on the destination track.
     first_send_of: Dict[int, Any] = {}
     for ev in tracer.messages:
-        if ev.kind == "send" and ev.seq is not None:
-            if ev.seq not in first_send_of:
-                first_send_of[ev.seq] = ev
+        if ev.kind == "send" and ev.seq not in first_send_of:
+            first_send_of[ev.seq] = ev
     for iv in tracer.intervals:
         if iv.trigger is None:
             continue
@@ -162,7 +161,7 @@ def chrome_trace_events(tracer: Tracer,
 
     # Network flight-recorder lanes: a second process with one thread
     # per wire lane, so link/stream occupancy renders under the PE rows.
-    hop_events = getattr(tracer, "hops", ())
+    hop_events = tracer.hops
     if hop_events:
         lanes = sorted({h.device for hev in hop_events for h in hev.hops})
         lane_tid = {lane: tid for tid, lane in enumerate(lanes)}
@@ -384,7 +383,7 @@ def write_event_log(tracer: Tracer,
             "cause": ev.cause, "ack_for": ev.ack_for,
             "src_obj": ev.src_obj, "dst_obj": ev.dst_obj,
         }))
-    for hop_ev in getattr(tracer, "hops", ()):
+    for hop_ev in tracer.hops:
         lines.append(json.dumps({
             "type": "hops", "time_s": hop_ev.time,
             "src_pe": hop_ev.src_pe, "dst_pe": hop_ev.dst_pe,

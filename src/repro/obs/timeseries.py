@@ -289,12 +289,8 @@ class TelemetrySampler:
 
         wan_in_flight = getattr(self.transport, "wan_in_flight", 0)
         wan_sent = getattr(self.transport, "wan_sent", 0)
-        retransmits = 0
         rstats = getattr(self.transport, "rstats", None)
-        if rstats is not None:
-            retransmits = rstats.retransmits
-        elif self.aggregator is not None:
-            retransmits = self.aggregator.retransmits
+        retransmits = rstats.retransmits if rstats is not None else 0
         self._series("wan.in_flight").add(now, wan_in_flight)
         arq = getattr(self.transport, "in_flight", None)
         if rstats is not None and arq is not None:
@@ -308,9 +304,8 @@ class TelemetrySampler:
         # Per-WAN-lane windowed busy fraction from the flight recorder's
         # online link fold (deltas of cumulative serialization seconds).
         max_link_busy = None
-        link_usage = getattr(self.aggregator, "link_usage", None)
-        if link_usage is not None:
-            for lane, usage in link_usage().items():
+        if self.aggregator is not None:
+            for lane, usage in self.aggregator.link_usage().items():
                 if not usage.wan:
                     continue
                 prev = self._prev_link_busy.get(lane, 0.0)
@@ -326,7 +321,8 @@ class TelemetrySampler:
         # Longest single execution in this window from the object fold
         # (harvested every tick so the window always spans one interval).
         top_grain = top_grain_obj = None
-        objview = getattr(self.aggregator, "objview", None)
+        objview = self.aggregator.objview \
+            if self.aggregator is not None else None
         if objview is not None:
             top_grain, top_grain_obj = objview.harvest_window()
             self._series("obj.top_grain_s").add(now, top_grain)

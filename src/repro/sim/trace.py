@@ -7,8 +7,7 @@ simulated runtime: the scheduler calls :meth:`Tracer.begin_execute` /
 :meth:`Tracer.end_execute` and the network fabric calls
 :meth:`Tracer.message_sent` / :meth:`Tracer.message_delivered`.
 
-One recorder implements that surface (the :class:`TraceSink` protocol),
-in two sizes:
+One recorder implements that surface, in two sizes:
 
 * :class:`TraceAggregator` — the fold: each event updates running
   aggregates (PE utilization, per-entry profiles, WAN flight
@@ -21,6 +20,11 @@ in two sizes:
   method runs the aggregator's fold and then appends the raw record,
   for the queries only raw events answer (timelines, per-window busy
   time, causal graphs, export).  Memory grows with event count.
+
+A recorder is on exactly when it is attached: the runtime records into
+the fabric's ``tracer`` whenever it is not ``None``.  Every message
+record carries the message's sequence id (``seq``), and sends pair with
+deliveries by that id alone.
 
 :class:`TraceFanout` multiplexes one recording stream to several sinks
 (e.g. a run's recorder plus a custom sink of the caller's).
@@ -46,7 +50,6 @@ from typing import (
     Iterable,
     List,
     Optional,
-    Protocol,
     Sequence,
     Tuple,
 )
@@ -69,12 +72,12 @@ class ExecInterval:
     end: float
     chare: str
     entry: str
-    #: Causal span id of this execution, unique within a run.  ``None``
-    #: for events recorded by pre-causal producers.
+    #: Causal span id of this execution, unique within a run (the
+    #: scheduler stamps one on every execution it records).
     sid: Optional[int] = None
     #: Span id of the execution that *sent* the message this execution
     #: is processing (the causal parent), or ``None`` for roots (driver
-    #: sends) and pre-causal traces.
+    #: sends).
     parent: Optional[int] = None
     #: Sequence id of the message whose delivery triggered this
     #: execution; pairs the span with its incoming wire edge.
@@ -103,16 +106,15 @@ class MessageEvent:
     tag: str
     crossed_wan: bool
     #: Message sequence id, used to pair sends to delivers exactly even
-    #: when jitter or retransmission reorders deliveries.  ``None`` for
-    #: events recorded by pre-seq producers (paired FIFO as a fallback).
-    seq: Optional[int] = None
+    #: when jitter or retransmission reorders deliveries.
+    seq: int
     #: Span id of the execution that sent this message (causal parent),
-    #: or ``None`` for driver/protocol messages and pre-causal traces.
+    #: or ``None`` for driver/protocol messages.
     cause: Optional[int] = None
     #: For reliable-transport acks: the data-message seq acknowledged.
     ack_for: Optional[int] = None
     #: Object label of the sending chare (``None`` for driver/protocol
-    #: messages and pre-object traces).
+    #: messages).
     src_obj: Optional[str] = None
     #: Object label of the destination chare for point-to-point sends
     #: (``None`` for bundles, reductions, relays, migrations and acks).
@@ -135,7 +137,7 @@ class HopEvent:
     size: int
     tag: str
     crossed_wan: bool
-    seq: Optional[int]
+    seq: int
     arrival: float
     hops: HopLedger
     #: Relay depth of the message in a hierarchical multicast (0=direct).
@@ -621,19 +623,18 @@ class ObjectFold:
                 cell.wan_messages += 1
                 cell.wan_bytes += size
 
-    def on_deliver(self, now: float, seq: Optional[int], size: int,
+    def on_deliver(self, now: float, seq: int, size: int,
                    crossed_wan: bool, local: bool,
                    dst_obj: Optional[str]) -> None:
-        if seq is not None:
-            pending = self._pending
-            if seq in pending:
-                cur = pending[seq]
-                if type(cur) is list:
-                    cur.append(now)
-                else:
-                    pending[seq] = [cur, now]
+        pending = self._pending
+        if seq in pending:
+            cur = pending[seq]
+            if type(cur) is list:
+                cur.append(now)
             else:
-                pending[seq] = now
+                pending[seq] = [cur, now]
+        else:
+            pending[seq] = now
         if dst_obj is None:
             return
         try:
@@ -710,59 +711,6 @@ class EntryProfile:
         return self.total_time / self.calls if self.calls else 0.0
 
 
-class TraceSink(Protocol):
-    """Anything the scheduler/fabric can record events into.
-
-    The runtime only ever *writes* through this surface; analysis
-    methods are sink-specific.  ``enabled`` gates the scheduler's
-    begin/end bracketing (a disabled sink must not be handed intervals).
-    """
-
-    enabled: bool
-
-    def begin_execute(self, pe: int, now: float, chare: str,
-                      entry: str, sid: Optional[int] = None,
-                      parent: Optional[int] = None,
-                      trigger: Optional[int] = None,
-                      obj: Optional[str] = None) -> None: ...
-
-    def end_execute(self, pe: int, now: float) -> None: ...
-
-    def message_sent(self, now: float, src_pe: int, dst_pe: int, size: int,
-                     tag: str, crossed_wan: bool,
-                     seq: Optional[int] = None,
-                     cause: Optional[int] = None,
-                     ack_for: Optional[int] = None,
-                     src_obj: Optional[str] = None,
-                     dst_obj: Optional[str] = None) -> None: ...
-
-    def message_delivered(self, now: float, src_pe: int, dst_pe: int,
-                          size: int, tag: str, crossed_wan: bool,
-                          seq: Optional[int] = None,
-                          cause: Optional[int] = None,
-                          ack_for: Optional[int] = None,
-                          src_obj: Optional[str] = None,
-                          dst_obj: Optional[str] = None) -> None: ...
-
-    def message_dropped(self, now: float, src_pe: int, dst_pe: int,
-                        size: int, tag: str, crossed_wan: bool,
-                        seq: Optional[int] = None,
-                        cause: Optional[int] = None,
-                        ack_for: Optional[int] = None,
-                        src_obj: Optional[str] = None,
-                        dst_obj: Optional[str] = None) -> None: ...
-
-    def note_retransmit(self) -> None: ...
-
-    def note_dup_suppressed(self) -> None: ...
-
-    def message_hops(self, now: float, src_pe: int, dst_pe: int, size: int,
-                     tag: str, crossed_wan: bool, seq: Optional[int],
-                     arrival: float, hops: HopLedger,
-                     relay_hop: int = 0,
-                     arq_attempt: int = 0) -> None: ...
-
-
 # Kept only because benchmarks/e2e/spans.py wraps its methods by name.
 class TraceFanout:
     """Broadcasts recording calls to several sinks.
@@ -778,20 +726,15 @@ class TraceFanout:
     surfaces to the caller exactly once.
     """
 
-    def __init__(self, sinks: Sequence[TraceSink]) -> None:
-        self.sinks: List[TraceSink] = list(sinks)
+    def __init__(self, sinks: Sequence[TraceAggregator]) -> None:
+        self.sinks: List[TraceAggregator] = list(sinks)
         #: id()s of sinks quarantined after raising.
         self._failed: set = set()
-
-    @property
-    def enabled(self) -> bool:
-        return any(s.enabled and id(s) not in self._failed
-                   for s in self.sinks)
 
     def _fanout(self, call) -> None:
         err: Optional[BaseException] = None
         for s in self.sinks:
-            if not s.enabled or id(s) in self._failed:
+            if id(s) in self._failed:
                 continue
             try:
                 call(s)
@@ -865,12 +808,9 @@ class TraceFanout:
                      tag: str, crossed_wan: bool, seq: Optional[int],
                      arrival: float, hops: HopLedger,
                      relay_hop: int = 0, arq_attempt: int = 0) -> None:
-        # Pre-ledger sinks (external TraceSink implementations) simply
-        # never see hop events; everything else fans out as usual.
         self._fanout(lambda s: s.message_hops(
             now, src_pe, dst_pe, size, tag, crossed_wan, seq, arrival,
-            hops, relay_hop=relay_hop, arq_attempt=arq_attempt)
-            if hasattr(s, "message_hops") else None)
+            hops, relay_hop=relay_hop, arq_attempt=arq_attempt))
 
     def close(self) -> None:
         """Close every healthy sink that supports closing.
@@ -878,8 +818,8 @@ class TraceFanout:
         Quarantined sinks are *skipped* — a sink that already raised
         mid-run is in an unknown state and closing it would at best
         raise again and at worst flush corrupt partial data.  Sinks
-        without a ``close`` method are fine (the protocol does not
-        require one); a close that raises quarantines the sink like any
+        without a ``close`` method are fine (the recorders have none); a
+        close that raises quarantines the sink like any
         recording call, and the first error is re-raised after the rest
         have been closed.
         """
@@ -982,7 +922,6 @@ class TraceAggregator:
     """
 
     def __init__(self, objects: bool = True) -> None:
-        self.enabled = True
         #: Streaming per-object fold (``None`` when ``objects=False``).
         self.objview: Optional[ObjectFold] = ObjectFold() if objects \
             else None
@@ -992,8 +931,10 @@ class TraceAggregator:
         # buffer in place (list.clear) rather than replacing it.
         self._ov_record = None if self.objview is None \
             else self.objview._buf.append
-        self._open_exec: Dict[int, Tuple[float, str, str,
-                                         Optional[str]]] = {}
+        #: pe -> (start, chare, entry, obj, sid, parent, trigger) of the
+        #: execution open on that PE (:class:`Tracer` reads the causal
+        #: ids from here when the execution ends).
+        self._open_exec: Dict[int, tuple] = {}
         self._usage: Dict[int, PeUsage] = {}
         self._profiles: Dict[Tuple[str, str], EntryProfile] = {}
         self._t_min: Optional[float] = None
@@ -1011,10 +952,8 @@ class TraceAggregator:
         self.dups_suppressed = 0
         # WAN overlap tracking.
         self.wan = WanOverlapStats()
-        #: dst_pe -> {(src_pe, seq): open window} for seq-carrying sends.
+        #: dst_pe -> {(src_pe, seq): open window}.
         self._wan_open: Dict[int, Dict[Tuple[int, int], _OpenWindow]] = {}
-        #: dst_pe -> {src_pe: FIFO of open windows} for legacy sends.
-        self._wan_fifo: Dict[int, Dict[int, List[_OpenWindow]]] = {}
         #: (src, dst, seq) triples already delivered (dup suppression).
         self._wan_delivered: set = set()
         #: Per-lane usage folded online from hop ledgers (flight recorder).
@@ -1027,16 +966,15 @@ class TraceAggregator:
                       parent: Optional[int] = None,
                       trigger: Optional[int] = None,
                       obj: Optional[str] = None) -> None:
-        # Causal ids (sid/parent) are accepted for sink compatibility
-        # but not aggregated: every streaming statistic except the
-        # object fold's queue-wait pairing (which consumes ``trigger``)
-        # is independent of the causal structure.
-        if not self.enabled:
-            return
+        # Causal ids (sid/parent/trigger) are kept with the open
+        # execution for Tracer's stored interval but not aggregated:
+        # every streaming statistic except the object fold's queue-wait
+        # pairing (which consumes ``trigger``) is independent of the
+        # causal structure.
         if pe in self._open_exec:
             raise ValueError(
                 f"PE {pe} already executing {self._open_exec[pe]!r}")
-        self._open_exec[pe] = (now, chare, entry, obj)
+        self._open_exec[pe] = (now, chare, entry, obj, sid, parent, trigger)
         rec = self._ov_record
         if rec is not None and trigger is not None:
             # Fold work is deferred: recording is one buffered append
@@ -1045,10 +983,9 @@ class TraceAggregator:
             rec((0, now, obj, trigger))
 
     def end_execute(self, pe: int, now: float) -> None:
-        if not self.enabled:
-            return
         try:
-            start, chare, entry, obj = self._open_exec.pop(pe)
+            start, chare, entry, obj, _sid, _parent, _trigger = \
+                self._open_exec.pop(pe)
         except KeyError:
             raise ValueError(f"PE {pe} has no open execution interval")
         duration = now - start
@@ -1088,23 +1025,13 @@ class TraceAggregator:
                 lo = win.send_time if win.send_time > start else start
                 if now > lo:
                     win.overlap += now - lo
-        fifo_here = self._wan_fifo.get(pe)
-        if fifo_here:
-            for queue in fifo_here.values():
-                for win in queue:
-                    lo = win.send_time if win.send_time > start else start
-                    if now > lo:
-                        win.overlap += now - lo
 
     def message_sent(self, now: float, src_pe: int, dst_pe: int, size: int,
-                     tag: str, crossed_wan: bool,
-                     seq: Optional[int] = None,
+                     tag: str, crossed_wan: bool, seq: int,
                      cause: Optional[int] = None,
                      ack_for: Optional[int] = None,
                      src_obj: Optional[str] = None,
                      dst_obj: Optional[str] = None) -> None:
-        if not self.enabled:
-            return
         self.sends += 1
         self.bytes_sent += size
         rec = self._ov_record
@@ -1116,54 +1043,37 @@ class TraceAggregator:
             return
         self.wan_sends += 1
         self.wan_bytes_sent += size
-        if seq is None:
-            queues = self._wan_fifo.setdefault(dst_pe, {})
-            queues.setdefault(src_pe, []).append(_OpenWindow(now))
+        if (src_pe, dst_pe, seq) in self._wan_delivered:
+            return  # late retransmission of an already-delivered id
+        opens = self._wan_open.setdefault(dst_pe, {})
+        key = (src_pe, seq)
+        if key not in opens:  # retransmits keep the *first* send time
+            opens[key] = _OpenWindow(now)
             self.wan.open_windows += 1
-        else:
-            key = (src_pe, seq)
-            if (src_pe, dst_pe, seq) in self._wan_delivered:
-                return  # late retransmission of an already-delivered id
-            opens = self._wan_open.setdefault(dst_pe, {})
-            if key not in opens:  # retransmits keep the *first* send time
-                opens[key] = _OpenWindow(now)
-                self.wan.open_windows += 1
 
     def message_delivered(self, now: float, src_pe: int, dst_pe: int,
-                          size: int, tag: str, crossed_wan: bool,
-                          seq: Optional[int] = None,
+                          size: int, tag: str, crossed_wan: bool, seq: int,
                           cause: Optional[int] = None,
                           ack_for: Optional[int] = None,
                           src_obj: Optional[str] = None,
                           dst_obj: Optional[str] = None) -> None:
-        if not self.enabled:
-            return
         self.delivers += 1
         rec = self._ov_record
-        if rec is not None and (seq is not None or dst_obj is not None):
+        if rec is not None:
             # Deferred fold (see begin_execute's note).
             rec((3, now, seq, size, crossed_wan,
                  src_pe == dst_pe, dst_obj))
         if not crossed_wan:
             return
         self.wan_delivers += 1
-        win: Optional[_OpenWindow] = None
-        if seq is None:
-            queues = self._wan_fifo.get(dst_pe)
-            queue = queues.get(src_pe) if queues else None
-            if queue:
-                win = queue.pop(0)
-        else:
-            triple = (src_pe, dst_pe, seq)
-            if triple in self._wan_delivered:
-                return  # duplicate delivery: first one closed the window
-            opens = self._wan_open.get(dst_pe)
-            if opens is not None:
-                win = opens.pop((src_pe, seq), None)
-            if win is not None:
-                self._wan_delivered.add(triple)
+        triple = (src_pe, dst_pe, seq)
+        if triple in self._wan_delivered:
+            return  # duplicate delivery: first one closed the window
+        opens = self._wan_open.get(dst_pe)
+        win = opens.pop((src_pe, seq), None) if opens is not None else None
         if win is None:
             return  # delivery without a recorded send (partial trace)
+        self._wan_delivered.add(triple)
         open_exec = self._open_exec.get(dst_pe)
         if open_exec is not None:
             start = open_exec[0]
@@ -1176,14 +1086,11 @@ class TraceAggregator:
         self.wan.masked_time += win.overlap
 
     def message_dropped(self, now: float, src_pe: int, dst_pe: int,
-                        size: int, tag: str, crossed_wan: bool,
-                        seq: Optional[int] = None,
+                        size: int, tag: str, crossed_wan: bool, seq: int,
                         cause: Optional[int] = None,
                         ack_for: Optional[int] = None,
                         src_obj: Optional[str] = None,
                         dst_obj: Optional[str] = None) -> None:
-        if not self.enabled:
-            return
         self.drops += 1
         rec = self._ov_record
         if rec is not None and src_obj is not None:
@@ -1192,20 +1099,16 @@ class TraceAggregator:
             self.wan_drops += 1
 
     def note_retransmit(self) -> None:
-        if self.enabled:
-            self.retransmits += 1
+        self.retransmits += 1
 
     def note_dup_suppressed(self) -> None:
-        if self.enabled:
-            self.dups_suppressed += 1
+        self.dups_suppressed += 1
 
     def message_hops(self, now: float, src_pe: int, dst_pe: int, size: int,
-                     tag: str, crossed_wan: bool, seq: Optional[int],
+                     tag: str, crossed_wan: bool, seq: int,
                      arrival: float, hops: HopLedger,
                      relay_hop: int = 0, arq_attempt: int = 0) -> None:
         """Fold one wire copy's hop ledger into per-lane usage."""
-        if not self.enabled:
-            return
         fold_hops(self._links, hops, crossed_wan)
 
     # -- analysis --------------------------------------------------------
@@ -1311,33 +1214,25 @@ class Tracer(TraceAggregator):
     """The full recorder: the streaming fold plus an event store.
 
     Every sink method runs :class:`TraceAggregator`'s fold and then
-    appends the raw record (:class:`ExecInterval`, :class:`MessageEvent`
-    or :class:`HopEvent`), so a traced run's statistics are the
-    aggregator's by construction.  The stored events answer what only
-    raw records can: timelines, busy time inside a window, causal
-    graphs, export, and the top wire messages.
+    appends the raw record (:class:`ExecInterval` when an execution
+    ends, :class:`MessageEvent` or :class:`HopEvent`), so a traced
+    run's statistics are the aggregator's by construction.  The stored
+    events answer what only raw records can: timelines, busy time
+    inside a window, causal graphs, export, and the top wire messages.
 
     Parameters
     ----------
-    enabled:
-        When ``False`` every recording call is a cheap no-op and
-        stored-event queries raise ``ValueError`` (the caller asked for
-        data that was never collected, which is a bug worth surfacing).
     objects:
         As for :class:`TraceAggregator`.
     """
 
-    def __init__(self, enabled: bool = True, objects: bool = True) -> None:
+    def __init__(self, objects: bool = True) -> None:
         super().__init__(objects=objects)
-        self.enabled = enabled
         self.intervals: List[ExecInterval] = []
         self.messages: List[MessageEvent] = []
         #: Flight-recorder records: one per delivered wire copy, in the
         #: order the fabric emitted them.
         self.hops: List[HopEvent] = []
-        #: pe -> (start, chare, entry, sid, parent, trigger, obj) of the
-        #: execution open on that PE, when its begin was stored.
-        self._open: Dict[int, tuple] = {}
         #: Lazily built per-PE interval index for window queries; rebuilt
         #: whenever intervals were appended since the last build.
         self._index: Optional[Dict[int, Tuple[List[float], List[float],
@@ -1346,30 +1241,17 @@ class Tracer(TraceAggregator):
 
     # -- recording -------------------------------------------------------
 
-    def begin_execute(self, pe: int, now: float, chare: str, entry: str,
-                      sid: Optional[int] = None,
-                      parent: Optional[int] = None,
-                      trigger: Optional[int] = None,
-                      obj: Optional[str] = None) -> None:
-        """Mark the start of an entry-method execution on *pe*."""
-        super().begin_execute(pe, now, chare, entry, sid, parent, trigger,
-                              obj)
-        if self.enabled:
-            self._open[pe] = (now, chare, entry, sid, parent, trigger, obj)
-
     def end_execute(self, pe: int, now: float) -> None:
         """Mark the end of the currently open execution on *pe*."""
+        opened = self._open_exec.get(pe)
         super().end_execute(pe, now)
-        opened = self._open.pop(pe, None)
-        if opened is not None and self.enabled:
-            start, chare, entry, sid, parent, trigger, obj = opened
-            self.intervals.append(ExecInterval(
-                pe, start, now, chare, entry, sid=sid, parent=parent,
-                trigger=trigger, obj=obj))
+        start, chare, entry, obj, sid, parent, trigger = opened
+        self.intervals.append(ExecInterval(
+            pe, start, now, chare, entry, sid=sid, parent=parent,
+            trigger=trigger, obj=obj))
 
     def message_sent(self, now: float, src_pe: int, dst_pe: int, size: int,
-                     tag: str, crossed_wan: bool,
-                     seq: Optional[int] = None,
+                     tag: str, crossed_wan: bool, seq: int,
                      cause: Optional[int] = None,
                      ack_for: Optional[int] = None,
                      src_obj: Optional[str] = None,
@@ -1377,14 +1259,12 @@ class Tracer(TraceAggregator):
         """Record a message leaving its source PE."""
         super().message_sent(now, src_pe, dst_pe, size, tag, crossed_wan,
                              seq, cause, ack_for, src_obj, dst_obj)
-        if self.enabled:
-            self.messages.append(MessageEvent(
-                "send", now, src_pe, dst_pe, size, tag, crossed_wan, seq,
-                cause, ack_for, src_obj, dst_obj))
+        self.messages.append(MessageEvent(
+            "send", now, src_pe, dst_pe, size, tag, crossed_wan, seq,
+            cause, ack_for, src_obj, dst_obj))
 
     def message_delivered(self, now: float, src_pe: int, dst_pe: int,
-                          size: int, tag: str, crossed_wan: bool,
-                          seq: Optional[int] = None,
+                          size: int, tag: str, crossed_wan: bool, seq: int,
                           cause: Optional[int] = None,
                           ack_for: Optional[int] = None,
                           src_obj: Optional[str] = None,
@@ -1393,14 +1273,12 @@ class Tracer(TraceAggregator):
         super().message_delivered(now, src_pe, dst_pe, size, tag,
                                   crossed_wan, seq, cause, ack_for, src_obj,
                                   dst_obj)
-        if self.enabled:
-            self.messages.append(MessageEvent(
-                "deliver", now, src_pe, dst_pe, size, tag, crossed_wan, seq,
-                cause, ack_for, src_obj, dst_obj))
+        self.messages.append(MessageEvent(
+            "deliver", now, src_pe, dst_pe, size, tag, crossed_wan, seq,
+            cause, ack_for, src_obj, dst_obj))
 
     def message_dropped(self, now: float, src_pe: int, dst_pe: int,
-                        size: int, tag: str, crossed_wan: bool,
-                        seq: Optional[int] = None,
+                        size: int, tag: str, crossed_wan: bool, seq: int,
                         cause: Optional[int] = None,
                         ack_for: Optional[int] = None,
                         src_obj: Optional[str] = None,
@@ -1408,28 +1286,22 @@ class Tracer(TraceAggregator):
         """Record a message lost on the wire (fault injection)."""
         super().message_dropped(now, src_pe, dst_pe, size, tag, crossed_wan,
                                 seq, cause, ack_for, src_obj, dst_obj)
-        if self.enabled:
-            self.messages.append(MessageEvent(
-                "drop", now, src_pe, dst_pe, size, tag, crossed_wan, seq,
-                cause, ack_for, src_obj, dst_obj))
+        self.messages.append(MessageEvent(
+            "drop", now, src_pe, dst_pe, size, tag, crossed_wan, seq,
+            cause, ack_for, src_obj, dst_obj))
 
     def message_hops(self, now: float, src_pe: int, dst_pe: int, size: int,
-                     tag: str, crossed_wan: bool, seq: Optional[int],
+                     tag: str, crossed_wan: bool, seq: int,
                      arrival: float, hops: HopLedger,
                      relay_hop: int = 0, arq_attempt: int = 0) -> None:
         """Record one wire copy's hop ledger (see :class:`HopEvent`)."""
         super().message_hops(now, src_pe, dst_pe, size, tag, crossed_wan,
                              seq, arrival, hops, relay_hop, arq_attempt)
-        if self.enabled:
-            self.hops.append(HopEvent(
-                now, src_pe, dst_pe, size, tag, crossed_wan, seq, arrival,
-                hops, relay_hop, arq_attempt))
+        self.hops.append(HopEvent(
+            now, src_pe, dst_pe, size, tag, crossed_wan, seq, arrival,
+            hops, relay_hop, arq_attempt))
 
     # -- stored-event queries --------------------------------------------
-
-    def _require_data(self) -> None:
-        if not self.enabled:
-            raise ValueError("tracer stored no events (disabled)")
 
     def _pe_index(self) -> Dict[int, Tuple[List[float], List[float],
                                            List[float]]]:
@@ -1472,7 +1344,6 @@ class Tracer(TraceAggregator):
         enforces one open execution per PE in monotonic time — so the
         intervals intersecting a window form a contiguous run).
         """
-        self._require_data()
         entry = self._pe_index().get(pe)
         if entry is None or end <= start:
             return 0.0
@@ -1500,36 +1371,21 @@ class Tracer(TraceAggregator):
         messages out of send order (FIFO pairing would silently cross
         them).  A retransmitted id contributes one window from its first
         send to its first delivery; duplicate deliveries are ignored.
-        Legacy events without an id fall back to FIFO pairing per
-        (src, dst) pair.
         """
-        self._require_data()
-        fifo: Dict[Tuple[int, int], List[float]] = {}
         first_send: Dict[Tuple[int, int, int], float] = {}
         emitted: set = set()
         windows: List[Tuple[float, float, int, int]] = []
         for ev in self.messages:
             if not ev.crossed_wan:
                 continue
+            key = (ev.src_pe, ev.dst_pe, ev.seq)
             if ev.kind == "send":
-                if ev.seq is None:
-                    fifo.setdefault((ev.src_pe, ev.dst_pe),
-                                    []).append(ev.time)
-                else:
-                    first_send.setdefault(
-                        (ev.src_pe, ev.dst_pe, ev.seq), ev.time)
-            elif ev.kind == "deliver":
-                if ev.seq is None:
-                    queue = fifo.get((ev.src_pe, ev.dst_pe))
-                    if queue:
-                        windows.append((queue.pop(0), ev.time,
-                                        ev.src_pe, ev.dst_pe))
-                else:
-                    key = (ev.src_pe, ev.dst_pe, ev.seq)
-                    if key in first_send and key not in emitted:
-                        emitted.add(key)
-                        windows.append((first_send[key], ev.time,
-                                        ev.src_pe, ev.dst_pe))
+                first_send.setdefault(key, ev.time)
+            elif (ev.kind == "deliver" and key in first_send
+                  and key not in emitted):
+                emitted.add(key)
+                windows.append((first_send[key], ev.time,
+                                ev.src_pe, ev.dst_pe))
         return windows
 
     def top_wire_messages(self, k: int = 10) -> List[HopEvent]:
@@ -1537,12 +1393,11 @@ class Tracer(TraceAggregator):
 
         Ties break deterministically toward the earlier-recorded event.
         """
-        self._require_data()
         order = sorted(range(len(self.hops)),
                        key=lambda i: (-self.hops[i].wire_time, i))
         return [self.hops[i] for i in order[:k]]
 
-    def hop_ledgers(self) -> Dict[Tuple[Optional[int], float], HopLedger]:
+    def hop_ledgers(self) -> Dict[Tuple[int, float], HopLedger]:
         """``(seq, arrival) -> ledger`` for causal/critical-path lookup.
 
         The arrival time disambiguates duplicate wire copies of one
@@ -1550,8 +1405,7 @@ class Tracer(TraceAggregator):
         delivery event the causal graph pairs against carries the same
         float, so lookups are exact.
         """
-        self._require_data()
-        out: Dict[Tuple[Optional[int], float], HopLedger] = {}
+        out: Dict[Tuple[int, float], HopLedger] = {}
         for ev in self.hops:
             out.setdefault((ev.seq, ev.arrival), ev.hops)
         return out
@@ -1559,7 +1413,6 @@ class Tracer(TraceAggregator):
     def timeline(self, pes: Optional[Iterable[int]] = None
                  ) -> Dict[int, List[ExecInterval]]:
         """Per-PE chronologically sorted execution intervals."""
-        self._require_data()
         wanted = set(pes) if pes is not None else None
         out: Dict[int, List[ExecInterval]] = {}
         for iv in self.intervals:

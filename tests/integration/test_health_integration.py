@@ -10,6 +10,7 @@ finds after the sweep.
 import pytest
 
 from repro.apps.stencil import run_stencil
+from repro.errors import ConfigurationError
 from repro.grid.presets import artificial_latency_env, lossy_wan_env
 from repro.units import ms
 
@@ -61,3 +62,12 @@ def test_lossy_wan_raises_storm_and_arq_series():
     assert "retransmit-storm" in rules
     assert "arq.in_flight" in env.sampler.series
     assert env.sampler.series["wan.retransmit_rate"].samples > 0
+
+
+def test_health_without_sampling_rejected_at_construction():
+    """The watchdog feeds on sampler snapshots, so health with the
+    sampler switched off would build a monitor that never fires."""
+    with pytest.raises(ConfigurationError, match="sampling=False"):
+        artificial_latency_env(8, ms(32.0), health=True, sampling=False)
+    env = artificial_latency_env(8, ms(32.0), health=True)
+    assert env.sampler is not None and env.sampler.monitor is env.monitor

@@ -4,12 +4,18 @@
 :class:`~repro.sim.trace.Tracer` — a :class:`TraceAggregator` that also
 stores raw events — as both ``env.tracer`` and ``env.aggregator``.  A
 traced run must therefore report exactly what the same run reports with
-statistics only, and the stats-mode object fold must keep its record
-buffer bounded however long the run.
+statistics only, its online WAN overlap fold must agree with the same
+quantities recomputed from the stored events, and the stats-mode object
+fold must keep its record buffer bounded however long the run.
 """
 
+import math
+
+import pytest
+
+from repro.apps.leanmd import LeanMDApp
 from repro.apps.stencil import StencilApp
-from repro.grid.presets import artificial_latency_env
+from repro.grid.presets import artificial_latency_env, lossy_wan_env
 from repro.obs.objview import ObjectView
 from repro.obs.report import build_report, netview_section
 from repro.sim import trace as trace_mod
@@ -29,7 +35,7 @@ def test_full_and_stats_modes_agree():
     stats, stats_result = _run(trace=False)
     assert full.aggregator is full.tracer
     assert full.fabric.tracer is full.tracer   # no fanout in between
-    assert not stats.tracer.enabled
+    assert stats.tracer is None
     assert list(full_result.step_times) == list(stats_result.step_times)
     assert build_report(full.aggregator).to_dict() == \
         build_report(stats.aggregator).to_dict()
@@ -41,6 +47,50 @@ def test_full_and_stats_modes_agree():
     assert "top_messages" not in stats_net
     assert ObjectView.from_source(full.aggregator).to_dict() == \
         ObjectView.from_source(stats.aggregator).to_dict()
+
+
+# -- online overlap fold vs the stored-event oracle --------------------------
+
+def _stencil_clean():
+    env = artificial_latency_env(8, ms(8.0), trace=True)
+    StencilApp(env, mesh=(512, 512), objects=64, payload="modeled").run(6)
+    return env
+
+
+def _stencil_lossy():
+    env = lossy_wan_env(8, ms(2.0), loss=0.05, duplication=0.02,
+                        reordering=0.05, seed=0, trace=True)
+    StencilApp(env, mesh=(64, 64), objects=16, payload="modeled").run(6)
+    return env
+
+
+def _leanmd_lossy():
+    env = lossy_wan_env(8, ms(8.0), loss=0.05, duplication=0.05,
+                        reordering=0.1, seed=1, trace=True)
+    LeanMDApp(env, cells=(3, 3, 3), atoms_per_cell=8,
+              payload="modeled").run(3)
+    return env
+
+
+@pytest.mark.parametrize("run, faulty", [
+    (_stencil_clean, False), (_stencil_lossy, True), (_leanmd_lossy, True),
+], ids=["stencil", "stencil-lossy", "leanmd-lossy"])
+def test_online_overlap_fold_matches_stored_event_oracle(run, faulty):
+    """The aggregator pairs WAN sends with deliveries by id as events
+    arrive; ``wan_flight_windows`` + ``busy_during`` recompute the same
+    windows and masked time from the stored events afterwards.  Under
+    ARQ retransmits and wire duplicates both must still agree."""
+    tracer = run().tracer
+    windows = tracer.wan_flight_windows()
+    assert tracer.wan.windows == len(windows) > 0
+    assert tracer.wan.flight_time == pytest.approx(
+        math.fsum(d - s for s, d, _src, _dst in windows), rel=1e-12)
+    assert tracer.wan.masked_time == pytest.approx(
+        math.fsum(tracer.busy_during(dst, s, d)
+                  for s, d, _src, dst in windows), rel=1e-12)
+    if faulty:
+        assert tracer.retransmits > 0
+        assert tracer.dups_suppressed > 0
 
 
 # -- bounded object-fold buffer (default stats mode) -------------------------

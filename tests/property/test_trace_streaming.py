@@ -1,11 +1,10 @@
 """Recorded hop ledgers stay consistent under every fault fate.
 
 Hypothesis generates randomized valid recording streams — WAN messages
-with drops, retransmissions, wire duplicates, and id-less legacy
-events, each non-dropped wire copy with a hop ledger — replays them
-into a :class:`~repro.sim.trace.Tracer`
-and checks the stored flight-recorder records against the fabric's
-contract.
+with drops, retransmissions and wire duplicates, each non-dropped wire
+copy with a hop ledger — replays them into a
+:class:`~repro.sim.trace.Tracer` and checks the stored flight-recorder
+records against the fabric's contract.
 
 Times are drawn on a 1/16 grid so all arithmetic is exact in binary
 floating point.
@@ -63,7 +62,7 @@ def schedules(draw):
     events = []
 
     # Messages: some WAN, some local; some dropped, retransmitted, or
-    # delivered twice (wire duplicates); some without a sequence id.
+    # delivered twice (wire duplicates).  Every event carries its id.
     # The drop_retx* fates exercise the reliable layer's worst case: the
     # first copy is lost on the wire, the retransmission's delivery is
     # reordered arbitrarily far relative to other messages, and (for
@@ -79,10 +78,8 @@ def schedules(draw):
         t0i = draw(st.integers(min_value=0, max_value=1500))
         fli = draw(st.integers(min_value=1, max_value=400))
         t0, flight = t0i / 16.0, fli / 16.0
-        use_seq = draw(st.booleans())
-        sq = seq if use_seq else None
         # The fabric stamps a hop ledger on every non-dropped wire copy;
-        # with_hops=False models a run whose sinks predate the recorder.
+        # with_hops=False leaves a message's copies without one.
         with_hops = draw(st.booleans())
         relay = draw(st.integers(min_value=0, max_value=2))
         fate = draw(st.sampled_from(
@@ -94,49 +91,49 @@ def schedules(draw):
             if with_hops:
                 ledger = _draw_ledger(draw, sent_i, arr_i)
                 events.append((sent_i / 16.0, "hops",
-                               args + (sq, arr_i / 16.0, ledger,
+                               args + (seq, arr_i / 16.0, ledger,
                                        relay, attempt)))
 
-        events.append((t0, "send", args + (sq,)))
+        events.append((t0, "send", args + (seq,)))
         if fate == "drop":
-            events.append((t0, "drop", args + (sq,)))
+            events.append((t0, "drop", args + (seq,)))
             continue
         if fate in ("drop_retx", "drop_retx_reorder"):
-            events.append((t0, "drop", args + (sq,)))
+            events.append((t0, "drop", args + (seq,)))
             tri = t0i + draw(st.integers(min_value=1, max_value=64))
             attempt = 1
-            events.append((tri / 16.0, "send", args + (sq,)))
+            events.append((tri / 16.0, "send", args + (seq,)))
             if draw(st.booleans()):
                 # Second copy lost too; a further retransmission carries.
-                events.append((tri / 16.0, "drop", args + (sq,)))
+                events.append((tri / 16.0, "drop", args + (seq,)))
                 tri += draw(st.integers(min_value=1, max_value=64))
                 attempt = 2
-                events.append((tri / 16.0, "send", args + (sq,)))
+                events.append((tri / 16.0, "send", args + (seq,)))
             deliver_i = tri + fli
             emit_hops(tri, deliver_i, attempt)
-            events.append((deliver_i / 16.0, "deliver", args + (sq,)))
+            events.append((deliver_i / 16.0, "deliver", args + (seq,)))
             if fate == "drop_retx_reorder":
                 gapi = draw(st.integers(min_value=1, max_value=64))
                 # Duplicate delivery of an earlier (slow) copy ...
                 events.append(((deliver_i + gapi) / 16.0, "deliver",
-                               args + (sq,)))
+                               args + (seq,)))
                 # ... and a spurious retransmission after delivery (the
                 # ack was itself lost or reordered).
                 spur_i = deliver_i + 2 * gapi
-                events.append((spur_i / 16.0, "send", args + (sq,)))
+                events.append((spur_i / 16.0, "send", args + (seq,)))
                 emit_hops(spur_i, spur_i + fli, attempt + 1)
             continue
         emit_hops(t0i, t0i + fli, 0)
         if fate == "retransmit":
             tri = t0i + draw(st.integers(min_value=1, max_value=64))
-            events.append((tri / 16.0, "send", args + (sq,)))
+            events.append((tri / 16.0, "send", args + (seq,)))
             emit_hops(tri, tri + fli, 1)
         deliver_at = t0 + flight
-        events.append((deliver_at, "deliver", args + (sq,)))
+        events.append((deliver_at, "deliver", args + (seq,)))
         if fate == "dup":
             td = deliver_at + draw(st.integers(min_value=1,
                                                max_value=64)) / 16.0
-            events.append((td, "deliver", args + (sq,)))
+            events.append((td, "deliver", args + (seq,)))
 
     # Stable sort by time: simultaneous events keep their emission order,
     # which preserves send-before-deliver.

@@ -18,7 +18,7 @@ from repro.obs.critpath import (
     replay_with_latency,
     summarize_attribution,
 )
-from repro.sim.trace import Tracer
+from repro.sim.trace import TraceAggregator, Tracer
 
 
 def chain_trace(wan=True, flight=2.0, retx=False):
@@ -45,8 +45,12 @@ def chain_trace(wan=True, flight=2.0, retx=False):
 
 class TestGraphConstruction:
     def test_disabled_tracer_rejected(self):
+        # Only a Tracer stores the events a graph is built from: the
+        # untraced environment's None and a stats-only aggregator refuse.
         with pytest.raises(ConfigurationError):
-            CausalGraph.from_tracer(Tracer(enabled=False))
+            CausalGraph.from_tracer(None)
+        with pytest.raises(ConfigurationError):
+            CausalGraph.from_tracer(TraceAggregator())
 
     def test_spans_messages_and_edges(self):
         tr, delivered = chain_trace()

@@ -10,8 +10,6 @@ from repro.sim.trace import TraceFanout
 
 
 class _RecordingSink:
-    enabled = True
-
     def __init__(self):
         self.events = []
 
@@ -42,6 +40,10 @@ class _RecordingSink:
 
     def note_dup_suppressed(self):
         self.events.append(("dup",))
+
+    def message_hops(self, now, src_pe, dst_pe, size, tag, crossed_wan,
+                     seq, arrival, hops, relay_hop=0, arq_attempt=0):
+        self.events.append(("hops", seq, len(hops)))
 
 
 class _BrokenSink(_RecordingSink):
@@ -106,26 +108,6 @@ def test_first_error_wins_when_multiple_sinks_raise():
     assert healthy.events == [("retransmit",)] * 2
 
 
-def test_enabled_reflects_quarantine():
-    broken = _BrokenSink()
-    fan = TraceFanout([broken])
-    assert fan.enabled
-    with pytest.raises(RuntimeError):
-        fan.note_retransmit()
-    assert not fan.enabled
-
-
-def test_disabled_sinks_are_skipped_without_quarantine():
-    healthy = _RecordingSink()
-    healthy.enabled = False
-    fan = TraceFanout([healthy])
-    fan.note_retransmit()
-    assert healthy.events == []
-    healthy.enabled = True
-    fan.note_retransmit()
-    assert healthy.events == [("retransmit",)]
-
-
 def test_all_event_kinds_fan_out():
     a, b = _RecordingSink(), _RecordingSink()
     fan = TraceFanout([a, b])
@@ -136,24 +118,10 @@ def test_all_event_kinds_fan_out():
     fan.message_dropped(0.9, 0, 1, 64, "t", True)
     fan.note_retransmit()
     fan.note_dup_suppressed()
+    fan.message_hops(1.0, 0, 4, 64, "t", True, 7, 1.2, ())
     assert a.events == b.events
-    assert len(a.events) == 7
-
-
-# -- hop-ledger fan-out -------------------------------------------------------
-
-class _HopAwareSink(_RecordingSink):
-    def message_hops(self, now, src_pe, dst_pe, size, tag, crossed_wan,
-                     seq, arrival, hops, relay_hop=0, arq_attempt=0):
-        self.events.append(("hops", seq, len(hops)))
-
-
-def test_message_hops_skips_sinks_without_the_method():
-    plain, aware = _RecordingSink(), _HopAwareSink()
-    fan = TraceFanout([plain, aware])
-    fan.message_hops(0.1, 0, 4, 64, "t", True, 7, 0.2, ())
-    assert aware.events == [("hops", 7, 0)]
-    assert plain.events == []            # no AttributeError, just skipped
+    assert len(a.events) == 8
+    assert a.events[-1] == ("hops", 7, 0)
 
 
 # -- close() ------------------------------------------------------------------

@@ -56,12 +56,6 @@ def test_render_profile_aggregates_once(monkeypatch):
     assert calls["n"] == 1
 
 
-def test_profile_requires_data():
-    """Stored-event queries on a tracer that stored nothing refuse."""
-    with pytest.raises(ValueError):
-        Tracer(enabled=False).timeline()
-
-
 def test_profile_from_live_run():
     from repro.apps.stencil import StencilApp
     from repro.grid.presets import artificial_latency_env
