@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.executor import default_jobs
+from repro.bench.executor import default_jobs, run_sweep
 from repro.bench.figures import knee_latency_ms, render_fig3_panel
 from repro.bench.records import group_series
-from repro.bench.sweep import FIG3_PANEL_OBJECTS, sweep_fig3
+from repro.bench.sweep import FIG3_PANEL_OBJECTS, specs_fig3
 
 PANELS = sorted(FIG3_PANEL_OBJECTS)
 
@@ -29,7 +29,8 @@ JOBS = default_jobs()
 @pytest.mark.parametrize("pes", PANELS)
 def test_fig3_panel(benchmark, pes):
     points = benchmark.pedantic(
-        lambda: sweep_fig3(panels=[pes], jobs=JOBS), rounds=1, iterations=1)
+        lambda: run_sweep(specs_fig3(panels=[pes]), jobs=JOBS), rounds=1,
+        iterations=1)
     print()
     print(render_fig3_panel(points, pes))
 

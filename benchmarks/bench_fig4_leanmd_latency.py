@@ -11,15 +11,16 @@ and asserts the paper's §5.3 observations:
 
 from __future__ import annotations
 
-from repro.bench.executor import default_jobs
+from repro.bench.executor import default_jobs, run_sweep
 from repro.bench.figures import render_fig4
 from repro.bench.records import group_series
-from repro.bench.sweep import sweep_fig4
+from repro.bench.sweep import specs_fig4
 
 
 def test_fig4(benchmark):
     points = benchmark.pedantic(
-        lambda: sweep_fig4(jobs=default_jobs()), rounds=1, iterations=1)
+        lambda: run_sweep(specs_fig4(), jobs=default_jobs()), rounds=1,
+        iterations=1)
     print()
     print(render_fig4(points))
 

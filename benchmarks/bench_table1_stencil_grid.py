@@ -11,14 +11,15 @@ numbers, and asserts:
 
 from __future__ import annotations
 
-from repro.bench.executor import default_jobs
-from repro.bench.sweep import sweep_table1
+from repro.bench.executor import default_jobs, run_sweep
+from repro.bench.sweep import specs_table1
 from repro.bench.tables import PAPER_TABLE1, render_table1, trend_agreement
 
 
 def test_table1(benchmark):
     points = benchmark.pedantic(
-        lambda: sweep_table1(jobs=default_jobs()), rounds=1, iterations=1)
+        lambda: run_sweep(specs_table1(), jobs=default_jobs()), rounds=1,
+        iterations=1)
     print()
     print(render_table1(points))
 

@@ -12,14 +12,15 @@ against the published values, and asserts:
 
 from __future__ import annotations
 
-from repro.bench.executor import default_jobs
-from repro.bench.sweep import sweep_table2
+from repro.bench.executor import default_jobs, run_sweep
+from repro.bench.sweep import specs_table2
 from repro.bench.tables import PAPER_TABLE2, render_table2, trend_agreement
 
 
 def test_table2(benchmark):
     points = benchmark.pedantic(
-        lambda: sweep_table2(jobs=default_jobs()), rounds=1, iterations=1)
+        lambda: run_sweep(specs_table2(), jobs=default_jobs()), rounds=1,
+        iterations=1)
     print()
     print(render_table2(points))
 

@@ -4,53 +4,11 @@ Every benchmark runs a full simulation sweep exactly once
 (``benchmark.pedantic(..., rounds=1)``): the measured quantity of
 interest is *virtual* time inside the simulation — printed as
 paper-style tables/figures — while pytest-benchmark records the
-wall-clock cost of regenerating each artefact.
+wall-clock cost of regenerating each artefact.  Benchmarks write no
+files: perf-trajectory records come only from ``perf_smoke.py`` and
+``repro inspect --ledger-out``, each into the file it names.
 
 Run with::
 
     pytest benchmarks/ --benchmark-only -s
 """
-
-from __future__ import annotations
-
-import os
-
-import pytest
-
-from repro.bench.harness import BENCH_LOG_ENV
-
-
-@pytest.fixture(autouse=True, scope="session")
-def bench_trajectory_log():
-    """Append perf-trajectory records for every benchmarked run.
-
-    Points ``REPRO_BENCH_LOG`` at ``BENCH_critpath.json`` next to this
-    file (the repo root's committed trajectory) so each harness run
-    appends its config digest and headline numbers; ``repro bench-diff``
-    then compares runs across commits.  An explicit environment setting
-    wins, so CI can redirect the log.
-    """
-    if os.environ.get(BENCH_LOG_ENV):
-        yield
-        return
-    path = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "BENCH_critpath.json")
-    os.environ[BENCH_LOG_ENV] = path
-    try:
-        yield
-    finally:
-        os.environ.pop(BENCH_LOG_ENV, None)
-
-
-def run_once(benchmark, fn):
-    """Execute *fn* exactly once under pytest-benchmark and return it."""
-    return benchmark.pedantic(fn, rounds=1, iterations=1, warmup_rounds=0)
-
-
-@pytest.fixture
-def once(benchmark):
-    """Fixture form of :func:`run_once`."""
-    def _run(fn):
-        return run_once(benchmark, fn)
-
-    return _run

@@ -47,10 +47,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from repro.apps.collectives import CollectiveBenchApp      # noqa: E402
 from repro.apps.stencil import StencilApp                  # noqa: E402
 from repro.core import Chare, entry                        # noqa: E402
-from repro.bench.harness import (                          # noqa: E402
-    BENCH_LOG_ENV,
-    maybe_log_trajectory,
-)
+from repro.bench.harness import log_trajectory             # noqa: E402
 from repro.bench.records import ExperimentPoint            # noqa: E402
 from repro.bench.trajectory import DEFAULT_PATH            # noqa: E402
 from repro.grid.presets import (                           # noqa: E402
@@ -306,13 +303,12 @@ def run_broadcast_heavy(log_path, dedup=True):
         latency_ms=LATENCY_MS, time_per_step=result.time_per_step,
         steps=BCAST_STEPS,
         extra={"payload_bytes": BCAST_PAYLOAD})
-    os.environ[BENCH_LOG_ENV] = log_path
-    maybe_log_trajectory(point, result, env, dedup=dedup,
-                         extra={"wall_s": wall,
-                                "wan_messages": wan_msgs,
-                                "checksum": result.checksum,
-                                "routing": "hierarchical",
-                                "wan_streams": BCAST_WAN_STREAMS})
+    log_trajectory(point, result, env, log_path, dedup=dedup,
+                   extra={"wall_s": wall,
+                          "wan_messages": wan_msgs,
+                          "checksum": result.checksum,
+                          "routing": "hierarchical",
+                          "wan_streams": BCAST_WAN_STREAMS})
     print(f"perf-smoke-bcast: {result.time_per_step * 1e3:.3f} ms/step "
           f"(hier routing, {BCAST_WAN_STREAMS} WAN streams, "
           f"{wan_msgs} WAN messages, checksum {result.checksum:g}) "
@@ -442,14 +438,13 @@ def main(argv=None):
         pes=PES, objects=OBJECTS, latency_ms=LATENCY_MS,
         time_per_step=result.time_per_step, steps=STEPS,
         extra={"mesh": list(MESH)})
-    os.environ[BENCH_LOG_ENV] = args.log
-    maybe_log_trajectory(point, result, env,
-                         steps_attribution=steps,
-                         dedup=not args.keep_dups,
-                         extra={"obs_overhead": obs,
-                                "events_per_sec": eps,
-                                "allocations": allocs,
-                                "kernel": kern})
+    log_trajectory(point, result, env, args.log,
+                   steps_attribution=steps,
+                   dedup=not args.keep_dups,
+                   extra={"obs_overhead": obs,
+                          "events_per_sec": eps,
+                          "allocations": allocs,
+                          "kernel": kern})
 
     print(f"perf-smoke: {result.time_per_step * 1e3:.3f} ms/step, "
           f"masked {env.aggregator.masked_latency_fraction:.3f}, "

@@ -1,4 +1,8 @@
-"""Benchmark harness: sweeps, tables and figures for every paper artefact."""
+"""Benchmark harness: sweeps, tables and figures for every paper artefact.
+
+An artefact is ``run_sweep(specs_*(...), jobs=..., cache=...)`` rendered
+by its ``render_*`` function; ``repro sweep`` runs the same path.
+"""
 
 from repro.bench.calibration import DEFAULT_CALIBRATION, Calibration
 from repro.bench.figures import (
@@ -28,10 +32,6 @@ from repro.bench.sweep import (
     specs_fig4,
     specs_table1,
     specs_table2,
-    sweep_fig3,
-    sweep_fig4,
-    sweep_table1,
-    sweep_table2,
 )
 from repro.bench.tables import (
     PAPER_TABLE1,
@@ -59,10 +59,6 @@ __all__ = [
     "specs_table1",
     "specs_fig4",
     "specs_table2",
-    "sweep_fig3",
-    "sweep_table1",
-    "sweep_fig4",
-    "sweep_table2",
     "render_table1",
     "render_table2",
     "render_fig3_panel",

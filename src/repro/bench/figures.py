@@ -8,6 +8,7 @@ line per virtualization degree (Figure 3) or per processor count
 
 from __future__ import annotations
 
+import math
 from typing import List, Sequence
 
 from repro.bench.records import ExperimentPoint, Series, group_series
@@ -21,11 +22,17 @@ def render_series(series: Sequence[Series], title: str,
 
     X is plotted on a linear scale of the sorted distinct x values
     (matching the paper's evenly spaced latency ticks); Y is linear.
+    Only finite points are plotted: a sweep's error rows carry an
+    infinite time per step and are listed by the caller instead.
     """
     if not series:
         return f"{title}\n(no data)"
-    xs = sorted({x for s in series for x in s.x})
-    ys = [y for s in series for y in s.y]
+    finite = [[(x, y) for x, y in zip(s.x, s.y) if math.isfinite(y)]
+              for s in series]
+    xs = sorted({x for pts in finite for x, _ in pts})
+    ys = [y for pts in finite for _, y in pts]
+    if not ys:
+        return f"{title}\n(no finite data)"
     y_min, y_max = min(ys), max(ys)
     if y_max <= y_min:
         y_max = y_min + 1.0
@@ -34,9 +41,9 @@ def render_series(series: Sequence[Series], title: str,
 
     grid = [[" "] * width for _ in range(height)]
     markers = "ox+*#@%&"
-    for si, s in enumerate(series):
+    for si, pts in enumerate(finite):
         mark = markers[si % len(markers)]
-        for x, y in zip(s.x, s.y):
+        for x, y in pts:
             col = x_pos[x]
             row = height - 1 - int((y - y_min) / (y_max - y_min)
                                    * (height - 1))

@@ -2,12 +2,13 @@
 
 One function per (application x environment) combination, each returning
 an :class:`~repro.bench.records.ExperimentPoint`.  Benchmarks and sweeps
-compose these; nothing here knows about pytest.
+compose these; nothing here knows about pytest.  The ``*_point``
+functions write no file; :func:`log_trajectory` appends a run's record
+to the path its caller names.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Tuple
 
 from repro.apps.collectives import AmpiCollectiveBenchApp, CollectiveBenchApp
@@ -26,12 +27,6 @@ DEFAULT_STEPS = 10
 #: experiments want to mirror the real grid (Tables 1 and 2).
 TERAGRID_ONE_WAY_MS = 1.725
 
-#: When this environment variable is set, every harness run appends a
-#: summary record to the perf trajectory: ``1`` (or any truthy value
-#: other than a path) targets ``BENCH_critpath.json`` in the current
-#: directory; any other value is used as the file path.
-BENCH_LOG_ENV = "REPRO_BENCH_LOG"
-
 
 def _obs_extra(env) -> dict:
     """Observability digest for an ExperimentPoint's ``extra`` dict.
@@ -48,31 +43,28 @@ def _obs_extra(env) -> dict:
     # module — a top-level import would close that cycle.
     from repro.obs.ledger import net_rollup
 
-    agg = getattr(env, "aggregator", None)
-    if agg is None:
+    if env.aggregator is None:
         return {}
-    extra = {"obs": agg.summary()}
+    extra = {"obs": env.aggregator.summary()}
     net = net_rollup(env)
     if net is not None:
         extra["net"] = net
     return extra
 
 
-def maybe_log_trajectory(point: ExperimentPoint, result, env,
-                         extra: Optional[dict] = None,
-                         steps_attribution=None,
-                         dedup: bool = True) -> None:
-    """Append a perf-trajectory record when ``REPRO_BENCH_LOG`` is set.
+def log_trajectory(point: ExperimentPoint, result, env, path: str, *,
+                   extra: Optional[dict] = None,
+                   steps_attribution=None,
+                   dedup: bool = True) -> None:
+    """Append a perf-trajectory record for one run to *path*.
 
-    Off by default so ordinary test/benchmark runs stay side-effect
-    free; ``benchmarks/conftest.py`` and the perf-smoke CI job turn it
-    on.  Records are schema-2 ledger records
+    The record is a schema-2 ledger record
     (:func:`repro.obs.ledger.build_run_record`): config digest, median
     steady-state step time, masked-latency fraction, net/health
     roll-ups and — when the caller passes *steps_attribution* — the
     full critical-path decomposition.  *extra* entries merge into
-    the record's ``extra`` dict (the perf-smoke job stores its measured
-    observability overheads there).
+    the record's ``extra`` dict (the perf-smoke script stores its
+    measured observability overheads there).
 
     Identical consecutive re-runs are deduplicated by default (virtual
     time is bit-reproducible, so a true re-run adds no information);
@@ -82,10 +74,6 @@ def maybe_log_trajectory(point: ExperimentPoint, result, env,
     # Function-local for the same import-cycle reason as _obs_extra.
     from repro.obs.ledger import build_run_record
 
-    dest = os.environ.get(BENCH_LOG_ENV)
-    if not dest:
-        return
-    path_kwargs = {} if dest == "1" else {"path": dest}
     config = {
         "experiment": point.experiment, "app": point.app,
         "environment": point.environment, "pes": point.pes,
@@ -97,7 +85,7 @@ def maybe_log_trajectory(point: ExperimentPoint, result, env,
              f"@{point.latency_ms:g}ms",
         config=config, result=result, env=env,
         steps_attribution=steps_attribution, extra=extra)
-    append_record(record, dedup=dedup, **path_kwargs)
+    append_record(record, path=path, dedup=dedup)
 
 
 def stencil_point(experiment: str, pes: int, objects: int,
@@ -116,15 +104,13 @@ def stencil_point(experiment: str, pes: int, objects: int,
     app = StencilApp(env, mesh=mesh, objects=objects, payload=payload,
                      kernel=kernel)
     result = app.run(steps)
-    point = ExperimentPoint(
+    return ExperimentPoint(
         experiment=experiment, app="stencil", environment=environment,
         pes=pes, objects=objects, latency_ms=latency_ms_value,
         time_per_step=result.time_per_step, steps=steps,
         extra={"makespan": result.makespan,
                "mesh": list(mesh), "payload": payload,
                **_obs_extra(env)})
-    maybe_log_trajectory(point, result, env)
-    return point
 
 
 def stencil_ampi_point(experiment: str, pes: int, ranks: int,
@@ -137,14 +123,12 @@ def stencil_ampi_point(experiment: str, pes: int, ranks: int,
     env = artificial_latency_env(pes, ms(latency_ms_value), seed=seed)
     app = AmpiStencilApp(env, mesh=mesh, ranks=ranks, payload=payload)
     result = app.run(steps)
-    point = ExperimentPoint(
+    return ExperimentPoint(
         experiment=experiment, app="stencil-ampi", environment="artificial",
         pes=pes, objects=ranks, latency_ms=latency_ms_value,
         time_per_step=result.time_per_step, steps=steps,
         extra={"makespan": result.makespan, "payload": payload,
                **_obs_extra(env)})
-    maybe_log_trajectory(point, result, env)
-    return point
 
 
 def routing_variant_label(routing: str, wan_streams: int) -> str:
@@ -177,7 +161,7 @@ def collectives_point(experiment: str, pes: int, objects: int,
     result = app.run(steps)
     wan_msgs = sum(d.messages_carried for d in env.chain.transports()
                    if "wan" in d.name)
-    point = ExperimentPoint(
+    return ExperimentPoint(
         experiment=experiment,
         app="collectives-ampi" if ampi else "collectives",
         environment="artificial", pes=pes, objects=objects,
@@ -190,8 +174,6 @@ def collectives_point(experiment: str, pes: int, objects: int,
                "wan_messages": wan_msgs,
                "checksum": result.checksum,
                **_obs_extra(env)})
-    maybe_log_trajectory(point, result, env)
-    return point
 
 
 def leanmd_point(experiment: str, pes: int, latency_ms_value: float, *,
@@ -211,12 +193,10 @@ def leanmd_point(experiment: str, pes: int, latency_ms_value: float, *,
                     payload=payload)
     result = app.run(steps)
     grid_cells = cells[0] * cells[1] * cells[2]
-    point = ExperimentPoint(
+    return ExperimentPoint(
         experiment=experiment, app="leanmd", environment=environment,
         pes=pes, objects=grid_cells, latency_ms=latency_ms_value,
         time_per_step=result.time_per_step, steps=steps,
         extra={"makespan": result.makespan, "cells": list(cells),
                "atoms_per_cell": atoms_per_cell, "payload": payload,
                **_obs_extra(env)})
-    maybe_log_trajectory(point, result, env)
-    return point

@@ -1,12 +1,14 @@
 """Parameter sweeps reproducing each figure/table of the paper.
 
 Each ``specs_*`` function builds the declarative
-:class:`~repro.bench.specs.RunSpec` list for one artefact; each
-``sweep_*`` function realizes it through the executor
-(:mod:`repro.bench.executor`) and returns the
-:class:`ExperimentPoint` rows that the corresponding rendering in
-:mod:`repro.bench.tables` / :mod:`repro.bench.figures` consumes.
-Passing ``jobs`` fans the runs out over a process pool; passing a
+:class:`~repro.bench.specs.RunSpec` list for one artefact, and its
+signature holds that artefact's default step count.
+``run_sweep(specs_*(...), jobs=..., cache=...)``
+(:mod:`repro.bench.executor`) realizes the list and returns the
+:class:`~repro.bench.records.ExperimentPoint` rows that the matching
+rendering in :mod:`repro.bench.tables` / :mod:`repro.bench.figures`
+consumes; ``repro sweep`` is the same path from the shell.  Passing
+``jobs`` fans the runs out over a process pool; passing a
 :class:`~repro.bench.cache.RunCache` serves repeated configurations
 from disk.  Results are identical (bit-for-bit) for any ``jobs``.
 
@@ -24,10 +26,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.bench.cache import RunCache
-from repro.bench.executor import ProgressFn, SweepStats, run_sweep
 from repro.bench.harness import TERAGRID_ONE_WAY_MS
-from repro.bench.records import ExperimentPoint
 from repro.bench.specs import RunSpec
 
 #: Paper Figure 3: which virtualization degrees appear in which panel.
@@ -150,63 +149,3 @@ def specs_table2(pe_counts: Sequence[int] = PE_COUNTS,
                            latency_ms=TERAGRID_ONE_WAY_MS, steps=steps,
                            environment="teragrid", seed=seed))
     return out
-
-
-# -- realized sweeps ----------------------------------------------------------
-
-def sweep_fig3(panels: Optional[Sequence[int]] = None,
-               latencies_ms: Sequence[float] = FIG3_LATENCIES_MS,
-               steps: int = 10, jobs: int = 1,
-               cache: Optional[RunCache] = None,
-               progress: Optional[ProgressFn] = None,
-               stats: Optional[SweepStats] = None
-               ) -> List[ExperimentPoint]:
-    """All points of Figure 3 (optionally a subset of panels)."""
-    return run_sweep(specs_fig3(panels, latencies_ms, steps), jobs=jobs,
-                     cache=cache, progress=progress, stats=stats)
-
-
-def sweep_fig3_collectives(latencies_ms: Sequence[float] = FIG3_LATENCIES_MS,
-                           steps: int = 8, jobs: int = 1,
-                           cache: Optional[RunCache] = None,
-                           progress: Optional[ProgressFn] = None,
-                           stats: Optional[SweepStats] = None
-                           ) -> List[ExperimentPoint]:
-    """All points of Figure 3c (collective-routing comparison)."""
-    return run_sweep(specs_fig3_collectives(latencies_ms, steps),
-                     jobs=jobs, cache=cache, progress=progress,
-                     stats=stats)
-
-
-def sweep_table1(rows: Sequence[Tuple[int, int]] = TABLE1_ROWS,
-                 steps: int = 10, seed: int = 0, jobs: int = 1,
-                 cache: Optional[RunCache] = None,
-                 progress: Optional[ProgressFn] = None,
-                 stats: Optional[SweepStats] = None
-                 ) -> List[ExperimentPoint]:
-    """Table 1: artificial latency vs the TeraGrid model, row by row."""
-    return run_sweep(specs_table1(rows, steps, seed), jobs=jobs,
-                     cache=cache, progress=progress, stats=stats)
-
-
-def sweep_fig4(pe_counts: Sequence[int] = PE_COUNTS,
-               latencies_ms: Sequence[float] = FIG4_LATENCIES_MS,
-               steps: int = 8, jobs: int = 1,
-               cache: Optional[RunCache] = None,
-               progress: Optional[ProgressFn] = None,
-               stats: Optional[SweepStats] = None
-               ) -> List[ExperimentPoint]:
-    """All points of Figure 4 (LeanMD latency sweep)."""
-    return run_sweep(specs_fig4(pe_counts, latencies_ms, steps), jobs=jobs,
-                     cache=cache, progress=progress, stats=stats)
-
-
-def sweep_table2(pe_counts: Sequence[int] = PE_COUNTS,
-                 steps: int = 8, seed: int = 0, jobs: int = 1,
-                 cache: Optional[RunCache] = None,
-                 progress: Optional[ProgressFn] = None,
-                 stats: Optional[SweepStats] = None
-                 ) -> List[ExperimentPoint]:
-    """Table 2: LeanMD, artificial vs TeraGrid, per PE count."""
-    return run_sweep(specs_table2(pe_counts, steps, seed), jobs=jobs,
-                     cache=cache, progress=progress, stats=stats)

@@ -2,19 +2,20 @@
 
 ROADMAP's north star wants the repository to carry its own performance
 history, so regressions show up in review rather than in a rerun months
-later.  Each benchmarked run appends one small summary record — a config
-digest plus the headline numbers (median step time, masked-latency
+later.  ``benchmarks/perf_smoke.py`` appends one small summary record — a
+config digest plus the headline numbers (median step time, masked-latency
 fraction, critical-path compute share) — to ``BENCH_critpath.json`` at
-the repo root; ``repro bench-diff`` compares two records (by default
-the newest one against the most recent earlier record with its digest)
-and flags >10 % step-time regressions.
+the repo root, and ``repro inspect --ledger-out PATH`` appends the same
+kind of record to the file it names; nothing else writes records.
+``repro bench-diff`` compares two records (by default the newest one
+against the most recent earlier record with its digest) and flags
+>10 % step-time regressions.
 
 The file is a JSON array of plain dicts: human-diffable and trivially
 loadable.  Append is read-modify-write, guarded against concurrent
-writers (parallel sweep workers all log here) by an advisory lock on a
-``.lock`` sidecar plus an atomic tempfile + rename of the array itself,
-so two simultaneous appends serialize instead of losing records or
-tearing the JSON.
+writers by an advisory lock on a ``.lock`` sidecar plus an atomic
+tempfile + rename of the array itself, so two simultaneous appends
+serialize instead of losing records or tearing the JSON.
 
 Records come in two schemas.  v1 carries the headline numbers only;
 v2 (``schema == 2``, built by :mod:`repro.obs.ledger`) additionally

@@ -2,10 +2,11 @@
 
 Usage (any artefact, directly from a shell)::
 
-    python -m repro table1 [--steps N] [--rows 2x16 4x64 ...]
-    python -m repro table2 [--steps N] [--pes 2 4 ...]
-    python -m repro fig3   [--pes 16 ...] [--latencies 0 4 32] [--steps N]
-    python -m repro fig4   [--pes 2 32] [--latencies 1 32 256] [--steps N]
+    python -m repro sweep {fig3,fig3c,fig4,table1,table2} [--jobs N]
+                          [--no-cache] [--cache-dir DIR]
+                          [--stats-out PATH] [--steps N] [--quiet]
+                          [--panels P ...] [--pes P ...]
+                          [--latencies MS ...] [--rows PESxOBJS ...]
     python -m repro demo   [--json]
     python -m repro inspect --view {trace,critpath,health,netview,objview}
                             [--app stencil|leanmd] [--pes N] [--objects N]
@@ -16,45 +17,49 @@ Usage (any artefact, directly from a shell)::
                             [--trace-out PATH] [--events-out PATH]
                             [--health-out PATH] [--ledger-out PATH]
                             [--json]
-    python -m repro sweep {fig3,fig3c,fig4,table1,table2} [--jobs N]
-                          [--no-cache] [--cache-dir DIR]
-                          [--stats-out PATH] [--steps N] [...subset flags]
     python -m repro bench-diff [--path BENCH_critpath.json]
                                [--digest HEX | --baseline I --candidate J]
     python -m repro compare BASELINE CANDIDATE [--path FILE] [--json]
                             [--trace-out PATH] [--threshold F]
 
-The full default sweeps take a few minutes; the subsetting flags let
-you reproduce a single panel or row in seconds.  ``repro inspect`` runs
-one configuration and renders one view of it: ``trace`` prints the
-latency-masking report (utilization, comm/compute, masked-latency
-fraction); ``critpath`` attributes each step's wall time along the
-causal critical path (compute / WAN in-flight / queueing / retransmit
-stall) and predicts the Figure-3 knee from that single run; ``health``
-runs with the fixed-memory telemetry sampler and rule-based watchdog
-and prints the health digest (sparklines and fired alerts);
-``netview`` is the network flight recorder (per-link utilization,
-queue depths, top wire-time messages); ``objview`` is the
-Projections-style object view (per-chare profiles, the object×object
-communication matrix, per-object critical-path blame and the
-decomposition advisor's split / merge / migrate suggestions).  Every
-view takes the same flags: ``--trace-out`` writes a Chrome trace,
-``--events-out`` a JSON-lines event log, ``--health-out`` appends the
-structured health events, and ``--ledger-out`` appends a schema-2 run
-ledger record.  ``repro bench-diff`` compares two perf-trajectory
-records and exits non-zero on a >10 % step-time regression; when both
-records are schema-2 ledger records it also prints the per-component
-critical-path diff.  ``repro compare`` is the full differential view:
-given two ledger records (by index into a trajectory file, or as
-standalone files), it attributes the step-time delta to critical-path
-components exactly, diffs the net roll-ups and per-object blame, and
-can write a side-by-side Chrome trace.  ``repro sweep`` runs any artefact's
-configurations through the parallel executor — ``--jobs N`` fans out
-over N worker processes, the content-addressed run cache skips
-configurations already computed, and the rendered artefact is
-bit-identical to a serial run for any worker count.  The table and
-figure commands stay text-only, matching the paper's artefacts;
-``demo`` and ``inspect`` take ``--json`` for machine-readable output.
+``repro sweep`` is the one way to a paper artefact (Figures 3 and 4,
+Tables 1 and 2, and the Figure-3c routing panel).  It runs the
+artefact's configurations through the parallel executor — ``--jobs N``
+fans out over N worker processes, the content-addressed run cache
+skips configurations already computed, and the rendered artefact is
+bit-identical to a serial run for any worker count.  The full default
+sweeps take a few minutes; ``--panels`` (fig3), ``--pes`` (fig4,
+table2), ``--latencies`` (figures) and ``--rows`` (table1) reproduce a
+single panel or row in seconds, and each artefact's default step count
+is its ``specs_*`` builder's.  A configuration that fails is listed as
+a ``FAILED`` line after the artefact, and the command exits 1.
+
+``repro inspect`` runs one configuration and renders one view of it:
+``trace`` prints the latency-masking report (utilization,
+comm/compute, masked-latency fraction); ``critpath`` attributes each
+step's wall time along the causal critical path (compute / WAN
+in-flight / queueing / retransmit stall) and predicts the Figure-3
+knee from that single run; ``health`` runs with the fixed-memory
+telemetry sampler and rule-based watchdog and prints the health digest
+(sparklines and fired alerts); ``netview`` is the network flight
+recorder (per-link utilization, queue depths, top wire-time messages);
+``objview`` is the Projections-style object view (per-chare profiles,
+the object×object communication matrix, per-object critical-path
+blame and the decomposition advisor's split / merge / migrate
+suggestions).  Every view takes the same flags: ``--trace-out`` writes
+a Chrome trace, ``--events-out`` a JSON-lines event log,
+``--health-out`` appends the structured health events, and
+``--ledger-out`` appends a schema-2 run ledger record to the named
+file (nothing else is written).  ``repro bench-diff`` compares two
+perf-trajectory records and exits non-zero on a >10 % step-time
+regression; when both records are schema-2 ledger records it also
+prints the per-component critical-path diff.  ``repro compare`` is the
+full differential view: given two ledger records (by index into a
+trajectory file, or as standalone files), it attributes the step-time
+delta to critical-path components exactly, diffs the net roll-ups and
+per-object blame, and can write a side-by-side Chrome trace.  Sweeps
+stay text-only, matching the paper's artefacts; ``demo`` and
+``inspect`` take ``--json`` for machine-readable output.
 """
 
 from __future__ import annotations
@@ -80,10 +85,6 @@ from repro.bench.sweep import (
     specs_fig4,
     specs_table1,
     specs_table2,
-    sweep_fig3,
-    sweep_fig4,
-    sweep_table1,
-    sweep_table2,
 )
 from repro.bench.tables import render_table1, render_table2
 
@@ -142,27 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reproduce Koenig & Kale (IPPS 2005): message-driven "
                     "objects masking Grid latency.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    t1 = sub.add_parser("table1", help="stencil: artificial vs real grid")
-    t1.add_argument("--steps", type=int, default=10)
-    t1.add_argument("--rows", nargs="+", default=None, metavar="PESxOBJS",
-                    help="subset of rows, e.g. --rows 2x16 8x64")
-
-    t2 = sub.add_parser("table2", help="LeanMD: artificial vs real grid")
-    t2.add_argument("--steps", type=int, default=8)
-    t2.add_argument("--pes", nargs="+", type=int, default=None)
-
-    f3 = sub.add_parser("fig3", help="stencil time/step vs latency")
-    f3.add_argument("--pes", nargs="+", type=int, default=None,
-                    help="which panels (default: all of 2..64)")
-    f3.add_argument("--latencies", nargs="+", type=float, default=None,
-                    help="one-way latencies in ms")
-    f3.add_argument("--steps", type=int, default=10)
-
-    f4 = sub.add_parser("fig4", help="LeanMD time/step vs latency")
-    f4.add_argument("--pes", nargs="+", type=int, default=None)
-    f4.add_argument("--latencies", nargs="+", type=float, default=None)
-    f4.add_argument("--steps", type=int, default=8)
 
     demo = sub.add_parser("demo",
                           help="30-second latency-masking demonstration")
@@ -229,8 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     ins.add_argument("--json", action="store_true",
                      help="print the report as JSON instead of text")
 
-    sw = sub.add_parser("sweep", help="run a paper sweep through the "
-                        "parallel executor with the run cache")
+    sw = sub.add_parser("sweep", help="regenerate one paper artefact "
+                        "through the parallel executor with the run cache")
     sw.add_argument("target",
                     choices=("fig3", "fig3c", "fig4", "table1", "table2"),
                     help="which artefact's configurations to run "
@@ -299,44 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_table1(args, out) -> None:
-    rows = _parse_rows(args.rows) if args.rows else TABLE1_ROWS
-    for pes, objs in rows:
-        if (pes, objs) not in TABLE1_ROWS:
-            raise SystemExit(f"({pes}, {objs}) is not a Table-1 row; "
-                             f"valid: {TABLE1_ROWS}")
-    points = sweep_table1(rows=rows, steps=args.steps)
-    print(render_table1(points), file=out)
-
-
-def cmd_table2(args, out) -> None:
-    pes = tuple(args.pes) if args.pes else PE_COUNTS
-    points = sweep_table2(pe_counts=pes, steps=args.steps)
-    print(render_table2(points), file=out)
-
-
-def cmd_fig3(args, out) -> None:
-    panels = args.pes if args.pes else list(PE_COUNTS)
-    for p in panels:
-        if p not in FIG3_PANEL_OBJECTS:
-            raise SystemExit(
-                f"no Figure-3 panel for {p} PEs; valid: {sorted(FIG3_PANEL_OBJECTS)}")
-    latencies = args.latencies if args.latencies else FIG3_LATENCIES_MS
-    points = sweep_fig3(panels=panels, latencies_ms=latencies,
-                        steps=args.steps)
-    for p in panels:
-        print(render_fig3_panel(points, p), file=out)
-        print(file=out)
-
-
-def cmd_fig4(args, out) -> None:
-    pes = args.pes if args.pes else list(PE_COUNTS)
-    latencies = args.latencies if args.latencies else FIG4_LATENCIES_MS
-    points = sweep_fig4(pe_counts=pes, latencies_ms=latencies,
-                        steps=args.steps)
-    print(render_fig4(points), file=out)
-
-
 def cmd_demo(args, out) -> None:
     from repro.apps.stencil import StencilApp
     from repro.grid import artificial_latency_env
@@ -374,12 +316,12 @@ def _emit_ledger(args, result, env, steps_attribution, path: str,
                  objects_blame=None) -> None:
     """Append one schema-2 ledger record for an inspected run to *path*.
 
-    The record also lands content-addressed under ``.repro-cache/``
-    (same fanout as the run cache).  Dedup is off: A/B ledger files
-    built for ``repro compare`` want both records even when the runs
-    are bit-identical — the all-neutral self-compare is the CI smoke.
+    Dedup is off (``append_record``'s default): A/B ledger files built
+    for ``repro compare`` want both records even when the runs are
+    bit-identical — the all-neutral self-compare is the CI smoke.
     """
-    from repro.obs.ledger import append_ledger, build_run_record
+    from repro.bench.trajectory import append_record
+    from repro.obs.ledger import build_run_record
 
     config = {
         "experiment": args.view, "app": args.app,
@@ -396,7 +338,7 @@ def _emit_ledger(args, result, env, steps_attribution, path: str,
              f"@{args.latency:g}ms",
         config=config, result=result, env=env,
         steps_attribution=steps_attribution, objects_blame=objects_blame)
-    append_ledger(record, path, cache_root=".repro-cache")
+    append_record(record, path=path)
 
 
 def cmd_inspect(args, out) -> None:
@@ -578,15 +520,12 @@ def cmd_sweep(args, out) -> None:
     from repro.bench.cache import DEFAULT_CACHE_DIR, RunCache
     from repro.bench.executor import SweepStats, default_jobs, run_sweep
 
-    steps_default = {"fig3": 10, "fig3c": 8, "table1": 10, "fig4": 8,
-                     "table2": 8}
-    steps = args.steps if args.steps is not None \
-        else steps_default[args.target]
-
+    # Each artefact's default step count is its specs_* builder's.
+    steps = {} if args.steps is None else {"steps": args.steps}
     if args.target == "fig3c":
         latencies = (tuple(args.latencies) if args.latencies
                      else FIG3_LATENCIES_MS)
-        specs = specs_fig3_collectives(latencies_ms=latencies, steps=steps)
+        specs = specs_fig3_collectives(latencies_ms=latencies, **steps)
     elif args.target == "fig3":
         panels = args.panels if args.panels else list(PE_COUNTS)
         for p in panels:
@@ -595,24 +534,22 @@ def cmd_sweep(args, out) -> None:
                                  f"{sorted(FIG3_PANEL_OBJECTS)}")
         latencies = (tuple(args.latencies) if args.latencies
                      else FIG3_LATENCIES_MS)
-        specs = specs_fig3(panels=panels, latencies_ms=latencies,
-                           steps=steps)
+        specs = specs_fig3(panels=panels, latencies_ms=latencies, **steps)
     elif args.target == "fig4":
         pes = tuple(args.pes) if args.pes else PE_COUNTS
         latencies = (tuple(args.latencies) if args.latencies
                      else FIG4_LATENCIES_MS)
-        specs = specs_fig4(pe_counts=pes, latencies_ms=latencies,
-                           steps=steps)
+        specs = specs_fig4(pe_counts=pes, latencies_ms=latencies, **steps)
     elif args.target == "table1":
         rows = _parse_rows(args.rows) if args.rows else TABLE1_ROWS
         for pes_objs in rows:
             if pes_objs not in TABLE1_ROWS:
                 raise SystemExit(f"{pes_objs} is not a Table-1 row; "
                                  f"valid: {TABLE1_ROWS}")
-        specs = specs_table1(rows=rows, steps=steps)
+        specs = specs_table1(rows=rows, **steps)
     else:
         pes = tuple(args.pes) if args.pes else PE_COUNTS
-        specs = specs_table2(pe_counts=pes, steps=steps)
+        specs = specs_table2(pe_counts=pes, **steps)
 
     cache = None
     if not args.no_cache:
@@ -779,10 +716,6 @@ def _is_int(spec: str) -> bool:
 
 
 COMMANDS = {
-    "table1": cmd_table1,
-    "table2": cmd_table2,
-    "fig3": cmd_fig3,
-    "fig4": cmd_fig4,
     "demo": cmd_demo,
     "inspect": cmd_inspect,
     "sweep": cmd_sweep,

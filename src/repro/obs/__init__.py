@@ -30,8 +30,7 @@ Projections-grade surface:
 * :mod:`repro.obs.ledger` — the run ledger: schema-2
   :class:`~repro.bench.trajectory.RunRecord`\\ s carrying the full
   critical-path decomposition and net/health roll-ups, appended
-  flock-safe to the trajectory log and optionally content-addressed
-  beside the run cache;
+  flock-safe to the file the caller names;
 * :mod:`repro.obs.diff` — differential analysis
   (:func:`compare_records`, ``repro compare``): aligns two ledger
   records and attributes their step-time delta to critical-path
@@ -93,16 +92,12 @@ from repro.obs.timeseries import (
 #: which import repro.grid.environment, which imports *this* package —
 #: an eager import here deadlocks the whole chain at startup.
 _LAZY_EXPORTS = {
-    "append_ledger": "repro.obs.ledger",
     "attribution_totals": "repro.obs.ledger",
     "build_run_record": "repro.obs.ledger",
     "health_rollup": "repro.obs.ledger",
-    "ledger_key": "repro.obs.ledger",
-    "load_stored": "repro.obs.ledger",
     "net_rollup": "repro.obs.ledger",
     "objects_rollup": "repro.obs.ledger",
     "records_from_file": "repro.obs.ledger",
-    "store_record": "repro.obs.ledger",
     "ComponentDelta": "repro.obs.diff",
     "RunComparison": "repro.obs.diff",
     "compare_records": "repro.obs.diff",
@@ -151,16 +146,12 @@ __all__ = [
     "TelemetrySampler",
     "TimeSeries",
     "render_sparkline",
-    "append_ledger",
     "attribution_totals",
     "build_run_record",
     "health_rollup",
-    "ledger_key",
-    "load_stored",
     "net_rollup",
     "objects_rollup",
     "records_from_file",
-    "store_record",
     "ComponentDelta",
     "RunComparison",
     "compare_records",

@@ -15,33 +15,23 @@ runs *comparable*.  Every traced run can emit one compact
 * health episodes (``extra["health"]``: per-rule and per-severity
   counts from the watchdog).
 
-Records are appended flock-safe to the existing trajectory log (the
-same ``BENCH_critpath.json`` machinery, same advisory lock + atomic
-rename) and can additionally be **content-addressed** alongside the
-:class:`~repro.bench.cache.RunCache` entries: the key is the SHA-256 of
-the record's canonical JSON minus its wall-clock-dependent fields, so a
-byte-identical re-run maps to the same ledger entry, exactly like a
-cache hit.  ``repro compare`` (:mod:`repro.obs.diff`) consumes pairs of
-these records.
+A record is written only where a caller names the file: ``repro
+inspect --ledger-out PATH`` and ``benchmarks/perf_smoke.py`` append it
+with :func:`repro.bench.trajectory.append_record` (advisory lock,
+atomic rename).  ``repro compare`` (:mod:`repro.obs.diff`) consumes
+pairs of these records.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
-import tempfile
 from typing import Any, Dict, List, Optional
 
-from repro.bench.trajectory import RunRecord, append_record
+from repro.bench.trajectory import RunRecord
 from repro.obs.critpath import COMPONENTS, WIRE_COMPONENTS
 
 #: Ledger records are trajectory records with this schema number.
 LEDGER_SCHEMA = 2
-
-#: Content-addressed ledger entries live here, next to the run cache's
-#: two-level fanout (the default cache root is ``.repro-cache``).
-LEDGER_SUBDIR = "ledger"
 
 
 def attribution_totals(steps) -> Dict[str, Any]:
@@ -80,9 +70,8 @@ def net_rollup(env) -> Optional[Dict[str, Any]]:
     ledgers (e.g. ``stats=False`` runs, or zero-latency configs whose
     chain never stamps WAN hops).
     """
-    agg = getattr(env, "aggregator", None)
-    usage = getattr(agg, "link_usage", None)
-    links = usage() if usage is not None else {}
+    agg = env.aggregator
+    links = agg.link_usage() if agg is not None else {}
     if not links:
         return None
     wan = [u for u in links.values() if u.wan]
@@ -106,8 +95,8 @@ def objects_rollup(env, blame=None) -> Optional[Dict[str, Any]]:
     kept no object statistics (``stats=False`` or ``object_stats=False``
     runs).
     """
-    agg = getattr(env, "aggregator", None)
-    fold = getattr(agg, "objview", None)
+    agg = env.aggregator
+    fold = agg.objview if agg is not None else None
     if fold is None or not fold.profiles:
         return None
     out: Dict[str, Any] = {
@@ -149,7 +138,7 @@ def health_rollup(events) -> Optional[Dict[str, Any]]:
 def _median_step_s(result) -> float:
     """Median steady-state step time from a result's completion times."""
     times = [float(t) for t in result.step_times]
-    warmup = getattr(result, "warmup", 0)
+    warmup = result.warmup
     window = times[warmup:] if len(times) > warmup + 1 else times
     diffs = sorted(b - a for a, b in zip(window, window[1:]))
     if not diffs:
@@ -192,7 +181,7 @@ def build_run_record(*, name: str, config: Dict[str, Any], result, env,
     compute_share = None
     if critpath is not None and critpath["wall_s"] > 0:
         compute_share = critpath["compute_s"] / critpath["wall_s"]
-    agg = getattr(env, "aggregator", None)
+    agg = env.aggregator
     rec_extra: Dict[str, Any] = {
         "time_per_step_mean_s": float(result.time_per_step),
         **(extra or {}),
@@ -200,7 +189,7 @@ def build_run_record(*, name: str, config: Dict[str, Any], result, env,
     net = net_rollup(env)
     if net is not None:
         rec_extra.setdefault("net", net)
-    health = health_rollup(getattr(env, "health_events", ()))
+    health = health_rollup(env.health_events)
     if health is not None:
         rec_extra.setdefault("health", health)
     objects = objects_rollup(env, blame=objects_blame)
@@ -218,79 +207,13 @@ def build_run_record(*, name: str, config: Dict[str, Any], result, env,
     )
 
 
-def ledger_key(record: RunRecord) -> str:
-    """Content hash identifying *record*'s deterministic payload.
-
-    Canonical-JSON SHA-256 with the wall-clock-dependent fields
-    (``created``, ``extra``) removed: a byte-identical
-    re-run of the same configuration produces the same key, so storing
-    it is idempotent — exactly the :mod:`repro.bench.cache` contract.
-    """
-    doc = record.to_dict()
-    doc.pop("created", None)
-    doc.pop("extra", None)
-    canon = json.dumps(doc, sort_keys=True, separators=(",", ":"),
-                       default=str)
-    return hashlib.sha256(canon.encode()).hexdigest()
-
-
-def store_record(record: RunRecord, root: str = ".repro-cache") -> str:
-    """Content-address *record* under ``root/ledger/``; returns the path.
-
-    Same layout and atomicity discipline as the run cache: two-level
-    fanout, tempfile + rename, idempotent for identical runs.
-    """
-    key = ledger_key(record)
-    path = os.path.join(root, LEDGER_SUBDIR, key[:2], key + ".json")
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    doc = {"key": key, "schema": LEDGER_SCHEMA, "record": record.to_dict()}
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    return path
-
-
-def load_stored(path: str) -> RunRecord:
-    """Load one content-addressed ledger entry back into a record."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    return RunRecord.from_dict(doc["record"])
-
-
-def append_ledger(record: RunRecord, path: str, dedup: bool = False,
-                  cache_root: Optional[str] = None) -> int:
-    """Append a ledger record to a trajectory file (flock-safe).
-
-    ``dedup`` defaults to off here — a ledger file built for an A/B
-    comparison *wants* both records even when the runs are identical
-    (the all-neutral self-compare is the CI smoke's whole point).  Pass
-    ``cache_root`` to also store the record content-addressed alongside
-    the run cache.
-    """
-    count = append_record(record, path=path, dedup=dedup)
-    if cache_root is not None:
-        store_record(record, root=cache_root)
-    return count
-
-
 def records_from_file(path: str) -> List[RunRecord]:
-    """Records from *path*: a trajectory array, a single record dict,
-    or a content-addressed ledger entry — whichever the file holds."""
+    """Records from *path*: a trajectory array or a single record dict,
+    whichever the file holds."""
     with open(path) as fh:
         raw = json.load(fh)
     if isinstance(raw, list):
         return [RunRecord.from_dict(d) for d in raw]
-    if isinstance(raw, dict) and "record" in raw:
-        return [RunRecord.from_dict(raw["record"])]
     if isinstance(raw, dict):
         return [RunRecord.from_dict(raw)]
     raise ValueError(f"{path}: not a trajectory array or record object")

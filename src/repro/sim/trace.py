@@ -1059,8 +1059,10 @@ class TraceAggregator:
                           dst_obj: Optional[str] = None) -> None:
         self.delivers += 1
         rec = self._ov_record
-        if rec is not None:
-            # Deferred fold (see begin_execute's note).
+        if rec is not None and ack_for is None:
+            # Deferred fold (see begin_execute's note).  ARQ acks skip
+            # it: no execution consumes an ack, and an ack has no
+            # dst_obj, so its record would only park a _pending entry.
             rec((3, now, seq, size, crossed_wan,
                  src_pe == dst_pe, dst_obj))
         if not crossed_wan:

@@ -10,7 +10,8 @@ from repro.bench.harness import (
     stencil_ampi_point,
     stencil_point,
 )
-from repro.bench.sweep import specs_fig3_collectives, sweep_fig3, sweep_table2
+from repro.bench.executor import run_sweep
+from repro.bench.sweep import specs_fig3, specs_fig3_collectives, specs_table2
 
 
 def test_stencil_point_fields():
@@ -107,14 +108,15 @@ def test_specs_fig3_collectives_cover_all_variants():
 
 
 def test_sweep_fig3_single_panel_structure():
-    points = sweep_fig3(panels=[2], latencies_ms=[0.0, 4.0], steps=4)
+    points = run_sweep(specs_fig3(panels=[2], latencies_ms=[0.0, 4.0],
+                                  steps=4))
     assert len(points) == 3 * 2            # 3 virtualizations x 2 latencies
     assert {p.pes for p in points} == {2}
     assert {p.experiment for p in points} == {"fig3"}
 
 
 def test_sweep_table2_structure():
-    points = sweep_table2(pe_counts=[2], steps=4)
+    points = run_sweep(specs_table2(pe_counts=[2], steps=4))
     envs = sorted(p.environment for p in points)
     assert envs == ["artificial", "teragrid"]
 

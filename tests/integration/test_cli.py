@@ -15,7 +15,8 @@ def run_cli(argv):
 
 
 def test_table1_subset():
-    code, text = run_cli(["table1", "--rows", "2x16", "--steps", "4"])
+    code, text = run_cli(["sweep", "table1", "--rows", "2x16", "--steps",
+                          "4", "--no-cache", "--quiet"])
     assert code == 0
     assert "Table 1" in text
     assert "75.050" in text       # the paper column is present
@@ -23,40 +24,42 @@ def test_table1_subset():
 
 def test_table1_rejects_unknown_row():
     with pytest.raises(SystemExit):
-        run_cli(["table1", "--rows", "3x17"])
+        run_cli(["sweep", "table1", "--rows", "3x17"])
 
 
 def test_table1_rejects_malformed_row():
     with pytest.raises(SystemExit):
-        run_cli(["table1", "--rows", "oops"])
+        run_cli(["sweep", "table1", "--rows", "oops"])
 
 
 def test_table2_subset():
-    code, text = run_cli(["table2", "--pes", "2", "--steps", "4"])
+    code, text = run_cli(["sweep", "table2", "--pes", "2", "--steps", "4",
+                          "--no-cache", "--quiet"])
     assert code == 0
     assert "Table 2" in text
     assert "3.924" in text
 
 
 def test_fig3_single_panel():
-    code, text = run_cli(["fig3", "--pes", "4", "--latencies", "0", "4",
-                          "--steps", "4"])
+    code, text = run_cli(["sweep", "fig3", "--panels", "4", "--latencies",
+                          "0", "4", "--steps", "4", "--no-cache", "--quiet"])
     assert code == 0
     assert "Figure 3 (4 PEs)" in text
     assert "objects=4" in text
 
 
-def test_fig3_rejects_unknown_panel():
-    with pytest.raises(SystemExit):
-        run_cli(["fig3", "--pes", "7"])
-
-
 def test_fig4_subset():
-    code, text = run_cli(["fig4", "--pes", "4", "--latencies", "1", "64",
-                          "--steps", "4"])
+    code, text = run_cli(["sweep", "fig4", "--pes", "4", "--latencies", "1",
+                          "64", "--steps", "4", "--no-cache", "--quiet"])
     assert code == 0
     assert "Figure 4" in text
     assert "pes=4" in text
+
+
+def test_artefact_subcommands_folded_into_sweep():
+    for old in ("table1", "table2", "fig3", "fig4"):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([old])
 
 
 def test_demo_runs():
@@ -212,6 +215,20 @@ def test_sweep_rejects_bad_jobs_and_panel():
         run_cli(["sweep", "fig3", "--jobs", "0"])
     with pytest.raises(SystemExit):
         run_cli(["sweep", "fig3", "--panels", "7"])
+
+
+def test_sweep_figure_with_error_rows_lists_failures():
+    out = io.StringIO()
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "fig3", "--panels", "2", "--latencies", "0", "-1",
+              "--steps", "2", "--no-cache", "--quiet"], out=out)
+    assert exc.value.code == 1
+    lines = out.getvalue().splitlines()
+    assert lines[0] == "Figure 3 (2 PEs) - stencil time/step vs latency"
+    failed = [line for line in lines if line.startswith("FAILED fig3")]
+    assert len(failed) == 3
+    assert all("@ -1ms" in line for line in failed)
+    assert lines[-3:] == failed      # listed after the panel
 
 
 def test_sweep_table1_row_subset(tmp_path):

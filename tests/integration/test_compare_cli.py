@@ -14,7 +14,7 @@ import pytest
 
 from repro.cli import main
 from repro.obs.export import validate_chrome_trace
-from repro.obs.ledger import records_from_file, store_record
+from repro.obs.ledger import records_from_file
 
 
 def run_cli(argv):
@@ -31,7 +31,7 @@ CRITPATH_ARGS = ["inspect", "--view", "critpath",
 @pytest.fixture
 def ledger(tmp_path, monkeypatch):
     """Two identical critpath runs appended to one ledger file."""
-    monkeypatch.chdir(tmp_path)   # .repro-cache lands here, not the repo
+    monkeypatch.chdir(tmp_path)   # a stray side write would land here
     path = tmp_path / "ledger.json"
     for _ in range(2):
         code, _ = run_cli(CRITPATH_ARGS + ["--ledger-out", str(path)])
@@ -53,9 +53,10 @@ def test_critpath_ledger_out_writes_schema2_records(ledger, tmp_path):
         assert abs(rec.critpath["residual_s"]) < 1e-12
         assert rec.config["experiment"] == "critpath"
     assert records[0].same_run(records[1])
-    # Each record is also content-addressed under .repro-cache.
-    stored = list((tmp_path / ".repro-cache" / "ledger").rglob("*.json"))
-    assert len(stored) == 1   # identical runs share one entry
+    # The named file (and its lock sidecar) is the only thing written.
+    assert not (tmp_path / ".repro-cache").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "ledger.json", "ledger.json.lock"]
 
 
 def test_netview_ledger_out_carries_net_rollup(tmp_path, monkeypatch):
@@ -124,10 +125,10 @@ def test_compare_detects_fabricated_regression(ledger):
 
 def test_compare_accepts_standalone_record_files(ledger, tmp_path):
     records = records_from_file(str(ledger))
-    a = store_record(records[0], root=str(tmp_path / "c"))
-    b = tmp_path / "single.json"
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(records[0].to_dict()))
     b.write_text(json.dumps(records[1].to_dict()))
-    code, text = run_cli(["compare", a, str(b)])
+    code, text = run_cli(["compare", str(a), str(b)])
     assert code == 0
     assert "(exact)" in text
 

@@ -146,13 +146,25 @@ def test_cli_critpath_writes_trace_with_flows(tmp_path):
                for e in doc["traceEvents"])
 
 
-def test_cli_bench_diff(tmp_path, monkeypatch):
-    from repro.bench.harness import BENCH_LOG_ENV, stencil_point
+def log_stencil(log, latency_ms):
+    """Run a small stencil and append its trajectory record to *log*."""
+    from repro.bench.harness import log_trajectory
+    from repro.bench.records import ExperimentPoint
 
+    env = artificial_latency_env(4, ms(latency_ms))
+    result = StencilApp(env, mesh=(256, 256), objects=16,
+                        payload="modeled").run(5)
+    point = ExperimentPoint(
+        experiment="t", app="stencil", environment="artificial", pes=4,
+        objects=16, latency_ms=latency_ms,
+        time_per_step=result.time_per_step, steps=5)
+    log_trajectory(point, result, env, str(log))
+
+
+def test_cli_bench_diff(tmp_path):
     log = tmp_path / "traj.json"
-    monkeypatch.setenv(BENCH_LOG_ENV, str(log))
-    stencil_point("t", 4, 16, 0.0, mesh=(256, 256), steps=5)
-    stencil_point("t", 4, 16, 0.0, mesh=(256, 256), steps=5)
+    log_stencil(log, 0.0)
+    log_stencil(log, 0.0)
 
     # Virtual time is bit-reproducible, so the identical second run
     # deduplicates instead of bloating the trajectory.
@@ -160,7 +172,7 @@ def test_cli_bench_diff(tmp_path, monkeypatch):
     assert len(records) == 1
 
     # An unchanged re-run compares ok; fabricate the candidate record
-    # (dedup only collapses *identical* runs appended via the harness).
+    # (dedup only collapses *identical* runs appended by log_trajectory).
     records.append(dict(records[-1]))
     log.write_text(json.dumps(records))
     code, text = run_cli(["bench-diff", "--path", str(log)])
@@ -177,14 +189,10 @@ def test_cli_bench_diff(tmp_path, monkeypatch):
     assert err.value.code == 1
 
 
-def test_cli_bench_diff_gates_newest_record_not_newest_pair(tmp_path,
-                                                            monkeypatch):
-    from repro.bench.harness import BENCH_LOG_ENV, stencil_point
-
+def test_cli_bench_diff_gates_newest_record_not_newest_pair(tmp_path):
     log = tmp_path / "traj.json"
-    monkeypatch.setenv(BENCH_LOG_ENV, str(log))
-    stencil_point("t", 4, 16, 0.0, mesh=(256, 256), steps=5)
-    stencil_point("t", 4, 16, 2.0, mesh=(256, 256), steps=5)
+    log_stencil(log, 0.0)
+    log_stencil(log, 2.0)
     a, b = json.loads(log.read_text())
     assert a["digest"] != b["digest"]
 

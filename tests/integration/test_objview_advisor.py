@@ -15,11 +15,8 @@ import math
 import pytest
 
 from repro.apps.stencil import StencilApp
-from repro.bench.sweep import (
-    FIG3_LATENCIES_MS,
-    FIG3_PANEL_OBJECTS,
-    sweep_fig3,
-)
+from repro.bench.executor import run_sweep
+from repro.bench.sweep import FIG3_LATENCIES_MS, FIG3_PANEL_OBJECTS, specs_fig3
 from repro.grid.presets import artificial_latency_env
 from repro.obs.objview import recommend_decomposition
 from repro.units import ms
@@ -39,7 +36,7 @@ def nearest_grid_index(n_objects):
 @pytest.fixture(scope="module")
 def measured_best():
     """latency_ms -> grid index of the measured-best degree."""
-    points = sweep_fig3(panels=[PES], steps=STEPS)
+    points = run_sweep(specs_fig3(panels=[PES], steps=STEPS))
     best = {}
     for p in points:
         cur = best.get(p.latency_ms)

@@ -126,6 +126,20 @@ def test_object_buffer_bounded_and_drains_never_change_the_fold(
         ObjectView.from_source(unbounded.aggregator).to_dict()
 
 
+def test_object_fold_parks_no_ack_deliveries():
+    """No execution consumes an ARQ ack, so an ack delivery must not
+    leave a queue-wait entry behind: after the fold drains, only
+    duplicate copies of data messages may still be pending."""
+    env = lossy_wan_env(8, ms(8.0), loss=0.1, seed=0)
+    StencilApp(env, mesh=(512, 512), objects=64,
+               payload="modeled").run(16)
+    fold = env.aggregator.objview
+    assert fold.profiles
+    rstats = env.transport.rstats
+    assert rstats.acks_sent > rstats.dups_suppressed > 0
+    assert len(fold._pending) <= rstats.dups_suppressed
+
+
 # -- the metrics registry: one pull view in every obs mode -------------------
 
 def test_registry_snapshot_same_in_every_obs_mode():

@@ -19,13 +19,9 @@ from repro.obs.diff import (
 )
 from repro.obs.export import validate_chrome_trace
 from repro.obs.ledger import (
-    append_ledger,
     attribution_totals,
     health_rollup,
-    ledger_key,
-    load_stored,
     records_from_file,
-    store_record,
 )
 
 
@@ -76,44 +72,7 @@ def test_health_rollup_counts_by_rule_and_severity():
     assert health_rollup([]) is None
 
 
-# -- content-addressed storage ---------------------------------------------
-
-
-def test_ledger_key_ignores_wall_clock_fields():
-    a = mk_record(critpath={"compute": 1.0})
-    b = mk_record(critpath={"compute": 1.0},
-                  extra={"obs_overhead": {"x": 1}})
-    b.created = 12345.0
-    assert ledger_key(a) == ledger_key(b)
-    c = mk_record(critpath={"compute": 2.0})
-    assert ledger_key(a) != ledger_key(c)
-
-
-def test_store_record_idempotent_and_loadable(tmp_path):
-    rec = mk_record(critpath={"compute": 1.0})
-    root = str(tmp_path / "cache")
-    p1 = store_record(rec, root=root)
-    p2 = store_record(rec, root=root)
-    assert p1 == p2
-    loaded = load_stored(p1)
-    assert loaded.same_run(rec)
-    assert loaded.critpath == rec.critpath
-
-
-def test_append_ledger_appends_and_stores(tmp_path):
-    path = str(tmp_path / "ledger.json")
-    rec = mk_record(critpath={"compute": 1.0})
-    n1 = append_ledger(rec, path, cache_root=str(tmp_path / "c"))
-    n2 = append_ledger(rec, path)
-    assert (n1, n2) == (1, 2)   # dedup off by default: A/B files
-    assert len(records_from_file(path)) == 2
-    entry = load_stored(ledger_entry_path(tmp_path / "c", rec))
-    assert entry.same_run(rec)
-
-
-def ledger_entry_path(root, rec):
-    key = ledger_key(rec)
-    return str(root / "ledger" / key[:2] / (key + ".json"))
+# -- record files ----------------------------------------------------------
 
 
 def test_records_from_file_accepts_all_shapes(tmp_path):
@@ -122,9 +81,6 @@ def test_records_from_file_accepts_all_shapes(tmp_path):
     single = tmp_path / "one.json"
     single.write_text(json.dumps(rec.to_dict()))
     assert records_from_file(str(single))[0].same_run(rec)
-    # content-addressed entry
-    path = store_record(rec, root=str(tmp_path / "c"))
-    assert records_from_file(path)[0].same_run(rec)
     # trajectory array
     arr = tmp_path / "arr.json"
     append_record(rec, path=str(arr))
