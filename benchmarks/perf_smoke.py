@@ -57,7 +57,6 @@ from repro.grid.presets import (                           # noqa: E402
 from repro.obs.critpath import (                           # noqa: E402
     CausalGraph,
     per_step_attribution,
-    summarize_attribution,
 )
 from repro.obs.export import (                             # noqa: E402
     chrome_trace,
@@ -303,14 +302,14 @@ def run_broadcast_heavy(log_path, dedup=True):
         latency_ms=LATENCY_MS, time_per_step=result.time_per_step,
         steps=BCAST_STEPS,
         extra={"payload_bytes": BCAST_PAYLOAD})
-    log_trajectory(point, result, env, log_path, dedup=dedup,
-                   extra={"wall_s": wall,
-                          "wan_messages": wan_msgs,
-                          "checksum": result.checksum,
-                          "routing": "hierarchical",
-                          "wan_streams": BCAST_WAN_STREAMS})
-    print(f"perf-smoke-bcast: {result.time_per_step * 1e3:.3f} ms/step "
-          f"(hier routing, {BCAST_WAN_STREAMS} WAN streams, "
+    record = log_trajectory(point, result, env, log_path, dedup=dedup,
+                            extra={"wall_s": wall,
+                                   "wan_messages": wan_msgs,
+                                   "checksum": result.checksum,
+                                   "routing": "hierarchical",
+                                   "wan_streams": BCAST_WAN_STREAMS})
+    print(f"perf-smoke-bcast: {record.time_per_step_s * 1e3:.3f} ms/step "
+          f"(median; hier routing, {BCAST_WAN_STREAMS} WAN streams, "
           f"{wan_msgs} WAN messages, checksum {result.checksum:g}) "
           f"in {wall * 1e3:.1f} ms wall -> appended to {log_path}")
     return 0
@@ -426,7 +425,6 @@ def main(argv=None):
     graph = CausalGraph.from_tracer(env.tracer)
     boundaries = [t0] + [t0 + float(t) for t in result.step_times]
     steps = per_step_attribution(graph, boundaries, keep_segments=False)
-    summary = summarize_attribution(steps, warmup=result.warmup)
 
     obs = measure_obs_overhead()
     eps = measure_events_per_second()
@@ -438,18 +436,18 @@ def main(argv=None):
         pes=PES, objects=OBJECTS, latency_ms=LATENCY_MS,
         time_per_step=result.time_per_step, steps=STEPS,
         extra={"mesh": list(MESH)})
-    log_trajectory(point, result, env, args.log,
-                   steps_attribution=steps,
-                   dedup=not args.keep_dups,
-                   extra={"obs_overhead": obs,
-                          "events_per_sec": eps,
-                          "allocations": allocs,
-                          "kernel": kern})
+    record = log_trajectory(point, result, env, args.log,
+                            steps_attribution=steps,
+                            dedup=not args.keep_dups,
+                            extra={"obs_overhead": obs,
+                                   "events_per_sec": eps,
+                                   "allocations": allocs,
+                                   "kernel": kern})
 
-    print(f"perf-smoke: {result.time_per_step * 1e3:.3f} ms/step, "
-          f"masked {env.aggregator.masked_latency_fraction:.3f}, "
-          f"critpath compute share {summary['compute_share']:.3f} "
-          f"-> appended to {args.log}")
+    print(f"perf-smoke: {record.time_per_step_s * 1e3:.3f} ms/step "
+          f"(median), masked {record.masked_fraction:.3f}, "
+          f"critpath compute share {record.critpath_compute_share:.3f} "
+          f"(all steps) -> appended to {args.log}")
     print(f"obs overhead (wall, best of {OBS_REPS}): "
           f"off {obs['wall_off_s'] * 1e3:.1f} ms, "
           f"stats {obs['wall_stats_s'] * 1e3:.1f} ms "

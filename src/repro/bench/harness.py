@@ -15,7 +15,7 @@ from repro.apps.collectives import AmpiCollectiveBenchApp, CollectiveBenchApp
 from repro.apps.leanmd import LeanMDApp
 from repro.apps.stencil import AmpiStencilApp, StencilApp
 from repro.bench.records import ExperimentPoint
-from repro.bench.trajectory import append_record
+from repro.bench.trajectory import RunRecord, append_record
 from repro.grid.presets import artificial_latency_env, teragrid_env
 from repro.units import ms
 
@@ -55,8 +55,8 @@ def _obs_extra(env) -> dict:
 def log_trajectory(point: ExperimentPoint, result, env, path: str, *,
                    extra: Optional[dict] = None,
                    steps_attribution=None,
-                   dedup: bool = True) -> None:
-    """Append a perf-trajectory record for one run to *path*.
+                   dedup: bool = True) -> RunRecord:
+    """Append a perf-trajectory record for one run to *path*; return it.
 
     The record is a schema-2 ledger record
     (:func:`repro.obs.ledger.build_run_record`): config digest, median
@@ -86,6 +86,7 @@ def log_trajectory(point: ExperimentPoint, result, env, path: str, *,
         config=config, result=result, env=env,
         steps_attribution=steps_attribution, extra=extra)
     append_record(record, path=path, dedup=dedup)
+    return record
 
 
 def stencil_point(experiment: str, pes: int, objects: int,
@@ -93,7 +94,7 @@ def stencil_point(experiment: str, pes: int, objects: int,
                   mesh: Tuple[int, int] = (2048, 2048),
                   steps: int = DEFAULT_STEPS, payload: str = "modeled",
                   environment: str = "artificial",
-                  seed: int = 0, kernel: str = "numpy") -> ExperimentPoint:
+                  seed: int = 0) -> ExperimentPoint:
     """Run one stencil configuration and record the result."""
     if environment == "artificial":
         env = artificial_latency_env(pes, ms(latency_ms_value), seed=seed)
@@ -101,8 +102,7 @@ def stencil_point(experiment: str, pes: int, objects: int,
         env = teragrid_env(pes, seed=seed)
     else:
         raise ValueError(f"unknown environment {environment!r}")
-    app = StencilApp(env, mesh=mesh, objects=objects, payload=payload,
-                     kernel=kernel)
+    app = StencilApp(env, mesh=mesh, objects=objects, payload=payload)
     result = app.run(steps)
     return ExperimentPoint(
         experiment=experiment, app="stencil", environment=environment,

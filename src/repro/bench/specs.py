@@ -56,18 +56,11 @@ class RunSpec:
     wan_streams: int = 0
     #: Broadcast payload for the collectives kinds, bytes.
     payload_bytes: int = 256 * 1024
-    #: Stencil inner-loop flavour: "numpy" (block kernels, default) or
-    #: "percell" (the per-cell reference loops — bit-identical results,
-    #: orders of magnitude slower; for equivalence certification).
-    kernel: str = "numpy"
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown spec kind {self.kind!r}; "
                              f"expected one of {KINDS}")
-        if self.kernel != "numpy" and self.kind != "stencil":
-            raise ValueError(
-                f"kernel applies only to stencil specs, not {self.kind!r}")
 
     def config(self) -> Dict[str, Any]:
         """Canonical, JSON-stable configuration dict.
@@ -105,11 +98,6 @@ class RunSpec:
                 base["routing"] = self.routing
             if self.wan_streams != 0:
                 base["wan_streams"] = self.wan_streams
-        # Same pattern for the kernel flavour: at its default (numpy
-        # kernels) the key material is unchanged, so every pre-existing
-        # RunCache digest and BENCH_critpath entry stays valid.
-        if self.kernel != "numpy":
-            base["kernel"] = self.kernel
         return base
 
     def label(self) -> str:
@@ -136,8 +124,7 @@ class RunSpec:
             return harness.stencil_point(
                 self.experiment, self.pes, self.objects, self.latency_ms,
                 mesh=self.mesh, steps=self.steps, payload=self.payload,
-                environment=self.environment, seed=self.seed,
-                kernel=self.kernel)
+                environment=self.environment, seed=self.seed)
         if self.kind == "stencil-ampi":
             if self.environment != "artificial":
                 raise ValueError(

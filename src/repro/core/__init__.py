@@ -23,11 +23,6 @@ Quick tour
 """
 
 from repro.core.chare import Chare, MainChare
-from repro.core.checkpoint import (
-    Checkpoint,
-    restore_checkpoint,
-    take_checkpoint,
-)
 from repro.core.collectives import SectionProxy
 from repro.core.costs import CacheHierarchy, CachedLinearCost, LinearCost
 from repro.core.ids import ChareID, EntryRef, normalize_index
@@ -46,9 +41,6 @@ from repro.core.rts import Runtime, RuntimeConfig
 
 __all__ = [
     "Chare",
-    "Checkpoint",
-    "take_checkpoint",
-    "restore_checkpoint",
     "MainChare",
     "entry",
     "entry_info",

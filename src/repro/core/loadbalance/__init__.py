@@ -7,7 +7,6 @@ database + topology + current mapping into a migration plan.
 Strategies provided:
 
 * :class:`~repro.core.loadbalance.greedy.GreedyLB` — global greedy;
-* :class:`~repro.core.loadbalance.refine.RefineLB` — bounded refinement;
 * :class:`~repro.core.loadbalance.gridlb.GridCommLB` — the paper's §6
   Grid balancer (never crosses clusters, spreads WAN talkers);
 * :class:`~repro.core.loadbalance.rotate.RotateLB` — migration shakeout.
@@ -22,7 +21,6 @@ from repro.core.loadbalance.base import (
 from repro.core.loadbalance.greedy import GreedyLB
 from repro.core.loadbalance.gridlb import GridCommLB
 from repro.core.loadbalance.metrics import CommRecord, LBDatabase
-from repro.core.loadbalance.refine import RefineLB
 from repro.core.loadbalance.rotate import RotateLB
 
 __all__ = [
@@ -30,7 +28,6 @@ __all__ = [
     "LBDatabase",
     "CommRecord",
     "GreedyLB",
-    "RefineLB",
     "GridCommLB",
     "RotateLB",
     "pe_loads",

@@ -1,13 +1,6 @@
 """Grid environment configuration (the paper's two testbeds)."""
 
 from repro.grid.environment import GridEnvironment
-from repro.grid.faucets import (
-    Allocation,
-    ClusterOffer,
-    Decision,
-    StencilJob,
-    plan_allocation,
-)
 from repro.grid.presets import (
     artificial_latency_env,
     lossy_wan_env,
@@ -18,11 +11,6 @@ from repro.grid.teragrid import DEFAULT_TERAGRID, TeraGridWanModel
 
 __all__ = [
     "GridEnvironment",
-    "ClusterOffer",
-    "StencilJob",
-    "Allocation",
-    "Decision",
-    "plan_allocation",
     "artificial_latency_env",
     "lossy_wan_env",
     "teragrid_env",

@@ -3,7 +3,7 @@
 Models the paper's communication stack: a grid/cluster/node/PE topology
 (:mod:`~repro.network.topology`), alpha-beta link models
 (:mod:`~repro.network.links`), VMI device-driver send chains with
-transport, delay, compression and encryption devices
+transport, delay and compression devices
 (:mod:`~repro.network.devices`, :mod:`~repro.network.delay`,
 :mod:`~repro.network.transform`, :mod:`~repro.network.chain`), WAN
 contention (:mod:`~repro.network.contention`), WAN fault injection
@@ -15,7 +15,7 @@ transits on the simulation engine.
 
 from repro.network.chain import DeviceChain, Route
 from repro.network.contention import PipePair, SharedPipe
-from repro.network.delay import DelayDevice, PairwiseDelayDevice, cross_cluster_pairs
+from repro.network.delay import DelayDevice, cross_cluster_pairs
 from repro.network.faults import FaultyDevice, LinkFlap
 from repro.network.devices import (
     ChainDevice,
@@ -42,7 +42,7 @@ from repro.network.reliable import (
     RetransmitPolicy,
 )
 from repro.network.topology import Cluster, GridTopology, Node, Processor
-from repro.network.transform import CompressionDevice, EncryptionDevice
+from repro.network.transform import CompressionDevice
 
 __all__ = [
     "Message",
@@ -66,7 +66,6 @@ __all__ = [
     "LoopbackDevice",
     "ProcessResult",
     "DelayDevice",
-    "PairwiseDelayDevice",
     "cross_cluster_pairs",
     "FaultyDevice",
     "LinkFlap",
@@ -74,7 +73,6 @@ __all__ = [
     "RetransmitPolicy",
     "ReliableStats",
     "CompressionDevice",
-    "EncryptionDevice",
     "DeviceChain",
     "Route",
     "SharedPipe",

@@ -11,7 +11,9 @@ passed to the wide-area driver.
 device that adds a fixed delay to every message whose endpoints satisfy a
 predicate (by default: the pair crosses a cluster boundary).  Placing it
 *before* the :class:`~repro.network.devices.WanDevice` in the chain yields
-the paper's artificial-latency environment.
+the paper's artificial-latency environment.  The paper's "arbitrary
+latencies ... between any pair of nodes" is a custom ``applies_to``
+predicate, or one device per delay value.
 """
 
 from __future__ import annotations
@@ -76,38 +78,3 @@ class DelayDevice(ChainDevice):
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"DelayDevice(delay={self.delay!r})"
 
-
-class PairwiseDelayDevice(ChainDevice):
-    """Inject per-(src, dst) delays from an explicit table.
-
-    The paper notes that "arbitrary latencies can be inserted between any
-    pair of nodes"; this device realizes the fully general form.  Pairs
-    absent from the table pass through undelayed.  Lookups are by PE pair,
-    directional (A→B may differ from B→A).
-    """
-
-    hop_kind = "propagation"
-
-    def __init__(self, table: dict, name: str = "pairwise-delay") -> None:
-        for pair, delay in table.items():
-            if len(pair) != 2:
-                raise ConfigurationError(f"bad pair key {pair!r}")
-            if delay < 0:
-                raise ConfigurationError(
-                    f"negative delay {delay} for pair {pair!r}")
-        self.table = dict(table)
-        self.name = name
-        self.messages_delayed = 0
-
-    def process(self, msg: Message, topo: GridTopology,
-                rng: Optional[np.random.Generator], *,
-                record: bool = True) -> ProcessResult:
-        delay = self.table.get((msg.src_pe, msg.dst_pe), 0.0)
-        if delay > 0:
-            if record:
-                self.messages_delayed += 1
-            return ProcessResult(message=msg, added_delay=delay)
-        return ProcessResult(message=msg)
-
-    def reset_stats(self) -> None:
-        self.messages_delayed = 0

@@ -3,7 +3,7 @@
 The Virtual Machine Interface (paper §2.2) organizes messaging into *send
 and receive chains* of dynamically loaded device drivers.  As a message
 travels down the chain, each driver either **claims** it for delivery,
-**transforms** it (compression, encryption, artificial delay) and passes
+**transforms** it (compression, artificial delay, fault injection) and passes
 it on, or simply passes it on untouched.
 
 Every driver here implements :class:`ChainDevice`.  Transport devices

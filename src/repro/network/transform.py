@@ -1,14 +1,13 @@
-"""Message-transforming chain devices.
+"""A message-transforming chain device.
 
 Paper §2.2: "because modules can intercept and manipulate message data as
 it is passed from module to module, capabilities such as encrypting or
-compressing the data are possible."  These devices realize that VMI
-capability and are used by the chain tests and by the Cactus-G-style
-"compress WAN traffic" ablation.
+compressing the data are possible."  :class:`CompressionDevice` realizes
+that VMI capability for the Cactus-G-style "compress WAN traffic"
+ablation.
 
-Both devices are pure envelope transforms: they change the declared wire
-size and charge a CPU cost, leaving the logical payload untouched (the
-simulation never needs actual ciphertext).
+It is a pure envelope transform: it changes the declared wire size and
+charges a CPU cost, leaving the logical payload untouched.
 """
 
 from __future__ import annotations
@@ -72,39 +71,3 @@ class CompressionDevice(ChainDevice):
     def reset_stats(self) -> None:
         self.bytes_saved = 0
 
-
-class EncryptionDevice(ChainDevice):
-    """Charge a per-byte CPU cost and a fixed header for matching messages.
-
-    Encryption does not shrink data; it adds a small header (IV/MAC) and
-    costs CPU time proportional to the payload.
-    """
-
-    def __init__(self, throughput: float, header_bytes: int = 32,
-                 applies_to: PairPredicate = _always,
-                 name: str = "encrypt") -> None:
-        if throughput <= 0:
-            raise ConfigurationError(
-                f"encryption throughput must be positive: {throughput}")
-        if header_bytes < 0:
-            raise ConfigurationError(f"negative header size {header_bytes}")
-        self.throughput = throughput
-        self.header_bytes = header_bytes
-        self.applies_to = applies_to
-        self.name = name
-        self.messages_encrypted = 0
-
-    def process(self, msg: Message, topo: GridTopology,
-                rng: Optional[np.random.Generator], *,
-                record: bool = True) -> ProcessResult:
-        if not self.applies_to(msg.src_pe, msg.dst_pe, topo):
-            return ProcessResult(message=msg)
-        if record:
-            self.messages_encrypted += 1
-        cost = msg.size_bytes / self.throughput
-        return ProcessResult(
-            message=msg.with_size(msg.size_bytes + self.header_bytes),
-            added_delay=cost)
-
-    def reset_stats(self) -> None:
-        self.messages_encrypted = 0

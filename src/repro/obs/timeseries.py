@@ -187,7 +187,7 @@ class TelemetrySampler:
         Cadence/capacity knobs; ``None`` uses defaults.
     transport:
         The fabric or reliable transport (for in-flight / retransmit
-        gauges); optional.
+        gauges).
     aggregator:
         Streaming trace aggregator supplying the online masked-latency
         fraction; optional.
@@ -197,7 +197,7 @@ class TelemetrySampler:
     """
 
     def __init__(self, engine, runtime, policy: Optional[SamplingPolicy] = None,
-                 *, transport=None, aggregator=None, monitor=None) -> None:
+                 *, transport, aggregator=None, monitor=None) -> None:
         self.engine = engine
         self.runtime = runtime
         self.policy = policy or SamplingPolicy()
@@ -217,6 +217,8 @@ class TelemetrySampler:
         #: windowed per-link busy-fraction series from the flight
         #: recorder's online link fold).
         self._prev_link_busy: Dict[str, float] = {}
+        #: (retransmits, WAN sends) at the previous tick.
+        self._prev_retx = (0, 0)
 
     # -- lifecycle --------------------------------------------------------
 
@@ -287,14 +289,13 @@ class TelemetrySampler:
         self._series("idle.fraction_ema").add(now, idle)
         self._series("queue.depth").add(now, queue_depth)
 
-        wan_in_flight = getattr(self.transport, "wan_in_flight", 0)
-        wan_sent = getattr(self.transport, "wan_sent", 0)
+        wan_in_flight = self.transport.wan_in_flight
+        wan_sent = self.transport.wan_sent
         rstats = getattr(self.transport, "rstats", None)
         retransmits = rstats.retransmits if rstats is not None else 0
         self._series("wan.in_flight").add(now, wan_in_flight)
-        arq = getattr(self.transport, "in_flight", None)
-        if rstats is not None and arq is not None:
-            self._series("arq.in_flight").add(now, arq)
+        if rstats is not None:
+            self._series("arq.in_flight").add(now, self.transport.in_flight)
 
         masked = None
         if self.aggregator is not None:
@@ -346,7 +347,7 @@ class TelemetrySampler:
                 now, self.monitor.last_retransmit_rate)
         else:
             # No monitor: compute the windowed rate locally.
-            prev = getattr(self, "_prev_retx", (0, 0))
+            prev = self._prev_retx
             d_retx = retransmits - prev[0]
             d_sent = wan_sent - prev[1]
             self._prev_retx = (retransmits, wan_sent)

@@ -339,19 +339,6 @@ class ObjectProfile:
         return (self.bytes_sent_local + self.bytes_sent_lan
                 + self.bytes_sent_wan)
 
-    @property
-    def bytes_recv(self) -> int:
-        return (self.bytes_recv_local + self.bytes_recv_lan
-                + self.bytes_recv_wan)
-
-    @property
-    def msgs_sent(self) -> int:
-        return self.msgs_sent_local + self.msgs_sent_lan + self.msgs_sent_wan
-
-    @property
-    def msgs_recv(self) -> int:
-        return self.msgs_recv_local + self.msgs_recv_lan + self.msgs_recv_wan
-
     def grain_quantile(self, q: float,
                        buckets: Optional[Dict[int, int]] = None) -> float:
         """Histogram quantile of grain sizes (bucket lower edge).
@@ -1132,19 +1119,6 @@ class TraceAggregator:
     def profile_by_entry(self) -> Dict[Tuple[str, str], EntryProfile]:
         """Per-(chare, entry) execution profile (live view)."""
         return self._profiles
-
-    def render_profile(self, top: int = 10) -> str:
-        """Human-readable top-N entry-method usage table."""
-        all_profs = self.profile_by_entry().values()
-        profs = sorted(all_profs, key=lambda p: -p.total_time)[:top]
-        total = sum(p.total_time for p in all_profs)
-        lines = [f"{'chare.entry':36s} {'calls':>8} {'time(s)':>10} "
-                 f"{'share':>7}"]
-        for p in profs:
-            share = p.total_time / total if total > 0 else 0.0
-            lines.append(f"{p.chare + '.' + p.entry:36s} {p.calls:>8} "
-                         f"{p.total_time:>10.4f} {share:>6.1%}")
-        return "\n".join(lines)
 
     @property
     def masked_latency_fraction(self) -> float:

@@ -138,12 +138,3 @@ def test_points_are_deterministic():
     a = stencil_point("t", 4, 16, 3.0, mesh=(128, 128), steps=5)
     b = stencil_point("t", 4, 16, 3.0, mesh=(128, 128), steps=5)
     assert a.time_per_step == b.time_per_step
-
-
-def test_stencil_point_percell_kernel_same_measurement():
-    numpy_p = stencil_point("t", pes=2, objects=4, latency_ms_value=4.0,
-                            mesh=(24, 24), steps=3, payload="real")
-    percell_p = stencil_point("t", pes=2, objects=4, latency_ms_value=4.0,
-                              mesh=(24, 24), steps=3, payload="real",
-                              kernel="percell")
-    assert percell_p.time_per_step == numpy_p.time_per_step

@@ -1,6 +1,6 @@
 """Sanity: every example script parses, imports, and defines main().
 
-The examples are exercised end-to-end manually / in docs; here we pin
+CI's trace-demo job runs every example end to end; here tier-1 pins
 that they at least stay importable against the current API (import-time
 breakage is the most common doc rot).
 """

@@ -188,42 +188,3 @@ def test_payload_bytes_monotone_under_append(lst, extra):
 @settings(**COMMON)
 def test_payload_bytes_numpy_exact(n):
     assert payload_bytes(np.zeros(n)) == n * 8
-
-
-# -- checkpoint roundtrip ---------------------------------------------------------
-
-from repro.core.chare import Chare  # noqa: E402  (module-level: picklable)
-
-
-class _Holder(Chare):
-    """Module-level so checkpointing (pickle) can serialize it."""
-
-    def __init__(self, v):
-        super().__init__()
-        self.v = v
-
-
-@given(st.lists(st.floats(min_value=-1e6, max_value=1e6,
-                          allow_nan=False), min_size=1, max_size=8),
-       st.integers(min_value=1, max_value=4))
-@settings(max_examples=10, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-def test_checkpoint_roundtrip_preserves_arbitrary_state(values, half):
-    from repro.core.checkpoint import restore_checkpoint, take_checkpoint
-    from repro.core.ids import ChareID
-    from repro.core.mapping import RoundRobinMapping
-    from repro.grid.presets import artificial_latency_env
-
-    Holder = _Holder
-    env = artificial_latency_env(2 * half, 0.001)
-    arr = env.runtime.create_array(
-        Holder, range(len(values)), RoundRobinMapping(),
-        args_of=lambda idx: ((values[idx[0]],), {}))
-    env.run()
-    ckpt = take_checkpoint(env.runtime)
-
-    env2 = artificial_latency_env(2 * half, 0.001)
-    restore_checkpoint(env2.runtime, ckpt)
-    for i, v in enumerate(values):
-        obj = env2.runtime.chare_object(ChareID(arr.collection, (i,)))
-        assert obj.v == v

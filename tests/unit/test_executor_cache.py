@@ -96,25 +96,12 @@ def test_collectives_spec_key_varies_by_variant():
     assert config["wan_streams"] == 0
 
 
-def test_classic_kind_keys_unchanged_by_pdes_defaults():
-    # Same stability contract for the kernel knob: numpy kernels are the
-    # default, so they stay out of every pre-existing spec's key material
-    # (the literal pins every RunCache key and trajectory digest).
+def test_classic_kind_config_pinned():
+    # The literal pins every RunCache key and trajectory digest.
     assert tiny_spec().config() == {
         "kind": "stencil", "experiment": "test", "pes": 2,
         "latency_ms": 0.0, "steps": 2, "environment": "artificial",
         "seed": 0, "payload": "modeled", "objects": 4, "mesh": [64, 64]}
-    assert spec_key(tiny_spec()) == spec_key(tiny_spec(kernel="numpy"))
-
-
-def test_spec_key_changes_with_non_default_pdes_knobs():
-    assert spec_key(tiny_spec()) != spec_key(tiny_spec(kernel="percell"))
-    assert tiny_spec(kernel="percell").config()["kernel"] == "percell"
-
-
-def test_pdes_knobs_are_stencil_only():
-    with pytest.raises(ValueError):
-        tiny_spec(kind="collectives", kernel="percell")
 
 
 # -- cache -------------------------------------------------------------------

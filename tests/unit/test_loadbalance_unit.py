@@ -7,7 +7,6 @@ from repro.core.loadbalance import (
     GreedyLB,
     GridCommLB,
     LBDatabase,
-    RefineLB,
     RotateLB,
     imbalance,
     pe_loads,
@@ -107,35 +106,6 @@ def test_greedy_deterministic():
     mapping = {cid(i): i % 4 for i in range(12)}
     assert GreedyLB().plan(db, topo, mapping) == \
         GreedyLB().plan(db, topo, mapping)
-
-
-# -- RefineLB ---------------------------------------------------------------------
-
-def test_refine_moves_only_from_overloaded():
-    topo = GridTopology.single_cluster(2)
-    db = make_db({0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0})
-    mapping = {cid(0): 0, cid(1): 0, cid(2): 0, cid(3): 1}
-    plan = RefineLB().plan(db, topo, mapping)
-    # one chare moves 0 -> 1
-    assert len(plan) == 1
-    assert list(plan.values()) == [1]
-
-
-def test_refine_noop_when_balanced():
-    topo = GridTopology.single_cluster(2)
-    db = make_db({0: 1.0, 1: 1.0})
-    mapping = {cid(0): 0, cid(1): 1}
-    assert RefineLB().plan(db, topo, mapping) == {}
-
-
-def test_refine_noop_when_no_load():
-    topo = GridTopology.single_cluster(2)
-    assert RefineLB().plan(LBDatabase(), topo, {cid(0): 0}) == {}
-
-
-def test_refine_tolerance_validation():
-    with pytest.raises(LoadBalanceError):
-        RefineLB(tolerance=0.9)
 
 
 # -- GridCommLB ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from repro.errors import ConfigurationError, RoutingError
 from repro.network.chain import DeviceChain
 from repro.network.contention import PipePair, SharedPipe
-from repro.network.delay import DelayDevice, PairwiseDelayDevice
+from repro.network.delay import DelayDevice
 from repro.network.devices import (
     LanDevice,
     LoopbackDevice,
@@ -23,7 +23,7 @@ from repro.network.links import (
 )
 from repro.network.message import Message
 from repro.network.topology import GridTopology
-from repro.network.transform import CompressionDevice, EncryptionDevice
+from repro.network.transform import CompressionDevice
 
 
 @pytest.fixture
@@ -162,21 +162,6 @@ def test_negative_delay_rejected():
         DelayDevice(-1.0)
 
 
-def test_pairwise_delay_device(topo):
-    dev = PairwiseDelayDevice({(0, 2): 7e-3})
-    fwd = dev.process(Message(src_pe=0, dst_pe=2, size_bytes=1), topo, None)
-    rev = dev.process(Message(src_pe=2, dst_pe=0, size_bytes=1), topo, None)
-    assert fwd.added_delay == pytest.approx(7e-3)
-    assert rev.added_delay == 0.0  # directional
-
-
-def test_pairwise_delay_validation():
-    with pytest.raises(ConfigurationError):
-        PairwiseDelayDevice({(0, 1): -1.0})
-    with pytest.raises(ConfigurationError):
-        PairwiseDelayDevice({(0, 1, 2): 1.0})
-
-
 def test_no_route_raises():
     chain = DeviceChain([ShmemDevice(shared_memory())])
     topo = GridTopology.two_cluster(4)
@@ -236,20 +221,6 @@ def test_compression_bad_ratio():
         CompressionDevice(ratio=0.0)
     with pytest.raises(ConfigurationError):
         CompressionDevice(ratio=1.5)
-
-
-def test_encryption_adds_header_and_cost(topo):
-    dev = EncryptionDevice(throughput=1e6, header_bytes=32)
-    res = dev.process(Message(src_pe=0, dst_pe=2, size_bytes=1000),
-                      topo, None)
-    assert res.message.size_bytes == 1032
-    assert res.added_delay == pytest.approx(1e-3)
-    assert dev.messages_encrypted == 1
-
-
-def test_encryption_requires_positive_throughput():
-    with pytest.raises(ConfigurationError):
-        EncryptionDevice(throughput=0.0)
 
 
 # -- contention ----------------------------------------------------------------------

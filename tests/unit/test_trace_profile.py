@@ -27,35 +27,6 @@ def test_profile_mean_of_empty():
     assert EntryProfile("C", "e").mean_time == 0.0
 
 
-def test_render_profile_sorted_by_time():
-    art = traced().render_profile(top=5)
-    lines = art.splitlines()
-    assert "Block.compute" in lines[1]   # heaviest first
-    assert "Block.ghost" in lines[2]
-    assert "57.1%" in lines[1]           # 2.0 / 3.5
-
-
-def test_render_profile_top_limit():
-    art = traced().render_profile(top=1)
-    assert "Block.ghost" not in art
-
-
-def test_render_profile_aggregates_once(monkeypatch):
-    """Regression: render_profile used to call profile_by_entry twice,
-    re-walking every interval of a (potentially huge) trace."""
-    tr = traced()
-    calls = {"n": 0}
-    original = Tracer.profile_by_entry
-
-    def counting(self):
-        calls["n"] += 1
-        return original(self)
-
-    monkeypatch.setattr(Tracer, "profile_by_entry", counting)
-    tr.render_profile(top=5)
-    assert calls["n"] == 1
-
-
 def test_profile_from_live_run():
     from repro.apps.stencil import StencilApp
     from repro.grid.presets import artificial_latency_env
