@@ -8,13 +8,14 @@ Usage::
 What is checked is read from the document itself:
 
 * a ``repro compare --json`` document (it has ``baseline`` and
-  ``candidate`` records): the component table covers every
-  critical-path component exactly once, the per-component deltas sum to
-  the total delta up to the reported residual, and each verdict is a
-  known one.  With ``--require-neutral`` the gate also fails unless the
-  comparison is an exact, all-neutral self-compare — the CI smoke runs
-  the same configuration twice, so anything non-neutral means the
-  attribution pipeline itself drifted;
+  ``candidate`` records): the headline ``ratio`` is the candidate's
+  ``time_per_step_s`` over the baseline's, the component table covers
+  every critical-path component exactly once, the per-component deltas
+  sum to the total delta up to the reported residual, and each verdict
+  is a known one.  With ``--require-neutral`` the gate also fails
+  unless the comparison is an exact, all-neutral self-compare with a
+  neutral ratio — the CI smoke runs the same configuration twice, so
+  anything non-neutral means the attribution pipeline itself drifted;
 * otherwise a ``repro inspect --json`` report, checked section by
   section: ``net`` (the network flight recorder: busy fractions in
   [0, 1], lane roll-ups consistent with the per-lane rows, top messages
@@ -76,6 +77,7 @@ SIDE_KEYS = {"name": object, "digest": object, "schema": float,
 COMPONENT_KEYS = {"component": object, "baseline_s": float,
                   "candidate_s": float, "delta_s": float,
                   "verdict": object}
+RATIO_KEYS = {"value": float, "threshold": float, "verdict": object}
 VERDICTS = ("regressed", "improved", "neutral")
 
 
@@ -208,6 +210,16 @@ def check_compare(doc, require_neutral=False):
         if doc[side]["schema"] < 2:
             _fail(f"{side} record schema {doc[side]['schema']} < 2 — no "
                   f"critpath payload to have diffed")
+    ratio = doc.get("ratio")
+    _check_mapping("ratio", ratio, RATIO_KEYS)
+    if ratio["verdict"] not in VERDICTS:
+        _fail(f"ratio.verdict {ratio['verdict']!r} invalid")
+    base = doc["baseline"]["time_per_step_s"]
+    if not base > 0:
+        _fail(f"baseline time_per_step_s {base!r} is not positive")
+    if ratio["value"] != doc["candidate"]["time_per_step_s"] / base:
+        _fail(f"ratio.value {ratio['value']!r} != candidate / baseline "
+              f"time_per_step_s")
     components = doc.get("components")
     if not isinstance(components, list):
         _fail("components must be a list")
@@ -241,6 +253,9 @@ def check_compare(doc, require_neutral=False):
         _fail("exact flag inconsistent with residual_s")
 
     if require_neutral:
+        if ratio["verdict"] != "neutral":
+            _fail(f"self-compare ratio {ratio['value']!r} is "
+                  f"{ratio['verdict']}, not neutral")
         if not doc["all_neutral"]:
             bad = [r["component"] for r in components
                    if r["verdict"] != "neutral"]
@@ -262,7 +277,8 @@ def check(doc, require_neutral=False):
         _fail("document must be a JSON object")
     if "baseline" in doc and "candidate" in doc:
         check_compare(doc, require_neutral)
-        return [f"compare: total {doc['total']['verdict']}, "
+        return [f"compare: ratio {doc['ratio']['verdict']}, "
+                f"total {doc['total']['verdict']}, "
                 f"{len(doc['components'])} components, residual "
                 f"{doc['residual_s']:+.3e} s"
                 + (", all neutral" if doc["all_neutral"] else "")]

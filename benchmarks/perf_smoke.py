@@ -1,15 +1,16 @@
 #!/usr/bin/env python
 """Perf smoke run: one small traced stencil, appended to the trajectory.
 
-The CI perf-smoke job runs this script, then ``repro bench-diff``.  The
-script executes the canonical small configuration (8 PEs, 64 objects,
-512x512 mesh, 2 ms one-way WAN, 8 steps — virtual-time results are
-bit-identical on any machine), appends a summary record (config digest,
-median step time, masked fraction, critical-path compute share) to the
-committed ``BENCH_critpath.json``, and optionally exports the Chrome
-trace — causal flow events included — as a build artifact.  The diff
-then compares the fresh record against the committed baseline and fails
-the job on a >10 % step-time regression.
+The CI perf-smoke job runs this script, then ``repro compare`` with no
+operands.  The script executes the canonical small configuration (8
+PEs, 64 objects, 512x512 mesh, 2 ms one-way WAN, 8 steps — virtual-time
+results are bit-identical on any machine), appends a summary record
+(config digest, median step time, masked fraction, critical-path compute
+share) to the committed ``BENCH_critpath.json``, and optionally exports
+the Chrome trace — causal flow events included — as a build artifact.
+The comparison then pairs the fresh record with the committed baseline and
+fails the job on a >10 % step-time regression or a regressed
+critical-path total.
 
 The script also measures what observability itself costs: the same
 configuration is wall-clock timed with observability off, with
@@ -20,9 +21,9 @@ wall time differs).  The measured ratios land in the trajectory
 record's ``extra["obs_overhead"]`` and feed the EXPERIMENTS.md overhead
 table; the sampler and the per-object fold each carry a hard < 5 %
 marginal-cost bar.  The appended record is a schema-2 ledger record
-(critical-path decomposition included), so two perf-smoke runs are
-``repro compare``-able; identical re-runs dedup unless
-``--keep-dups``.
+(critical-path decomposition included), so the comparison also
+attributes any step-time change to critical-path components; identical
+re-runs dedup unless ``--keep-dups``.
 The FIFO fast path (``MessageQueue`` on a deque instead of a heap) is
 part of what keeps the observability-off baseline honest: queue
 push/pop is O(1) with no key-tuple allocation on every message.

@@ -12,6 +12,7 @@ import math
 from typing import List, Sequence
 
 from repro.bench.records import ExperimentPoint, Series, group_series
+from repro.obs.critpath import KNEE_TOLERANCE, knee_latency
 
 
 def render_series(series: Sequence[Series], title: str,
@@ -116,19 +117,10 @@ def render_fig4(points: List[ExperimentPoint]) -> str:
     )
 
 
-def knee_latency_ms(series: Series, tolerance: float = 1.30) -> float:
+def knee_latency_ms(series: Series,
+                    tolerance: float = KNEE_TOLERANCE) -> float:
     """The largest swept latency still within *tolerance* of the
     zero/lowest-latency step time — the length of the "near-horizontal
     section" the paper reads off these plots.
     """
-    if not series.x:
-        return 0.0
-    pairs = sorted(zip(series.x, series.y))
-    base = pairs[0][1]
-    knee = pairs[0][0]
-    for x, y in pairs:
-        if y <= tolerance * base:
-            knee = x
-        else:
-            break
-    return knee
+    return knee_latency(sorted(zip(series.x, series.y)), tolerance)

@@ -7,9 +7,9 @@ config digest plus the headline numbers (median step time, masked-latency
 fraction, critical-path compute share) — to ``BENCH_critpath.json`` at
 the repo root, and ``repro inspect --ledger-out PATH`` appends the same
 kind of record to the file it names; nothing else writes records.
-``repro bench-diff`` compares two records (by default the newest one
-against the most recent earlier record with its digest) and flags
->10 % step-time regressions.
+``repro compare`` (:mod:`repro.obs.diff`) compares two records — by
+default the newest one against the most recent earlier record with its
+digest (:func:`latest_pair`) — and flags >10 % step-time regressions.
 
 The file is a JSON array of plain dicts: human-diffable and trivially
 loadable.  Append is read-modify-write, guarded against concurrent
@@ -53,9 +53,6 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 #: Default trajectory file, relative to the current working directory
 #: (the repo root in CI and normal development).
 DEFAULT_PATH = "BENCH_critpath.json"
-
-#: Relative step-time increase treated as a regression by compare().
-REGRESSION_THRESHOLD = 0.10
 
 
 def config_digest(config: Dict[str, Any]) -> str:
@@ -131,20 +128,35 @@ class RunRecord:
                 and self.critpath == other.critpath)
 
 
-def _load_raw(path: str) -> List[Dict[str, Any]]:
-    """The record dicts in *path*, exactly as stored; empty if absent."""
+def _read_json(path: str) -> Any:
+    """The JSON document in *path*; ``[]`` if the file is absent."""
     if not os.path.exists(path):
         return []
     with open(path) as fh:
-        raw = json.load(fh)
+        return json.load(fh)
+
+
+def _load_raw(path: str) -> List[Dict[str, Any]]:
+    """The record dicts in *path*, exactly as stored; empty if absent."""
+    raw = _read_json(path)
     if not isinstance(raw, list):
         raise ValueError(f"{path}: expected a JSON array of records")
     return raw
 
 
 def load_records(path: str = DEFAULT_PATH) -> List[RunRecord]:
-    """All records in *path* (oldest first); empty list if absent."""
-    return [RunRecord.from_dict(d) for d in _load_raw(path)]
+    """All records in *path* (oldest first); empty list if absent.
+
+    Reads a trajectory array or a single record object, which reads as
+    a one-record trajectory.  Only reading accepts the single-record
+    shape: :func:`append_record` still requires an array.
+    """
+    raw = _read_json(path)
+    if isinstance(raw, dict):
+        raw = [raw]
+    if not isinstance(raw, list):
+        raise ValueError(f"{path}: not a trajectory array or record object")
+    return [RunRecord.from_dict(d) for d in raw]
 
 
 @contextmanager
@@ -208,91 +220,18 @@ def append_record(record: RunRecord, path: str = DEFAULT_PATH,
         return len(records)
 
 
-@dataclass
-class Comparison:
-    """Outcome of comparing a new record against a baseline."""
-
-    baseline: RunRecord
-    candidate: RunRecord
-    threshold: float = REGRESSION_THRESHOLD
-
-    @property
-    def ratio(self) -> float:
-        """candidate / baseline step time (1.0 = unchanged)."""
-        if self.baseline.time_per_step_s <= 0:
-            return float("inf") if self.candidate.time_per_step_s > 0 else 1.0
-        return self.candidate.time_per_step_s / self.baseline.time_per_step_s
-
-    @property
-    def regressed(self) -> bool:
-        return self.ratio > 1.0 + self.threshold
-
-    @property
-    def improved(self) -> bool:
-        return self.ratio < 1.0 - self.threshold
-
-    @property
-    def config_changed(self) -> bool:
-        return self.baseline.digest != self.candidate.digest
-
-    def render(self) -> str:
-        verdict = ("REGRESSION" if self.regressed
-                   else "improved" if self.improved else "ok")
-        lines = [
-            f"baseline  {self.baseline.name}  "
-            f"{self.baseline.time_per_step_s * 1e3:.3f} ms/step  "
-            f"(digest {self.baseline.digest})",
-            f"candidate {self.candidate.name}  "
-            f"{self.candidate.time_per_step_s * 1e3:.3f} ms/step  "
-            f"(digest {self.candidate.digest})",
-            f"ratio     {self.ratio:.3f}x  "
-            f"(threshold +{self.threshold:.0%})  -> {verdict}",
-        ]
-        if self.config_changed:
-            lines.append("note      config digests differ: the comparison "
-                         "crosses configurations")
-        for key, attr in (("masked fraction", "masked_fraction"),
-                          ("critpath compute share",
-                           "critpath_compute_share")):
-            b = getattr(self.baseline, attr)
-            c = getattr(self.candidate, attr)
-            if b is not None and c is not None:
-                lines.append(f"{key:24s} {b:.3f} -> {c:.3f}")
-        return "\n".join(lines)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "baseline": self.baseline.to_dict(),
-            "candidate": self.candidate.to_dict(),
-            "ratio": self.ratio,
-            "threshold": self.threshold,
-            "regressed": self.regressed,
-            "improved": self.improved,
-            "config_changed": self.config_changed,
-        }
-
-
-def compare(baseline: RunRecord, candidate: RunRecord,
-            threshold: float = REGRESSION_THRESHOLD) -> Comparison:
-    """Compare two records; ``.regressed`` flags a >threshold slowdown."""
-    return Comparison(baseline=baseline, candidate=candidate,
-                      threshold=threshold)
-
-
-def latest_pair(records: Sequence[RunRecord],
-                digest: Optional[str] = None
+def latest_pair(records: Sequence[RunRecord]
                 ) -> Optional[Tuple[RunRecord, RunRecord]]:
-    """The newest record (with the given digest) and its baseline.
+    """The newest record and its baseline.
 
-    The candidate is the newest record, or the newest one with
-    *digest*; the baseline is the most recent earlier record sharing
-    the candidate's digest.  Returns ``(baseline, candidate)``, or
-    ``None`` when the candidate has no earlier record to compare to.
+    The candidate is the newest record; the baseline is the most recent
+    earlier record sharing the candidate's digest.  Returns
+    ``(baseline, candidate)``, or ``None`` when the candidate has no
+    earlier record to compare to.
     """
-    if digest is None:
-        if not records:
-            return None
-        digest = records[-1].digest
+    if not records:
+        return None
+    digest = records[-1].digest
     matching = [r for r in records if r.digest == digest]
     if len(matching) < 2:
         return None

@@ -1,13 +1,12 @@
-"""Command-line interface: regenerate the paper's artefacts.
+"""Command-line interface: one command per job.
 
-Usage (any artefact, directly from a shell)::
+Usage::
 
     python -m repro sweep {fig3,fig3c,fig4,table1,table2} [--jobs N]
                           [--no-cache] [--cache-dir DIR]
                           [--stats-out PATH] [--steps N] [--quiet]
                           [--panels P ...] [--pes P ...]
                           [--latencies MS ...] [--rows PESxOBJS ...]
-    python -m repro demo   [--json]
     python -m repro inspect --view {trace,critpath,health,netview,objview}
                             [--app stencil|leanmd] [--pes N] [--objects N]
                             [--mesh N] [--latency MS] [--steps N]
@@ -17,10 +16,8 @@ Usage (any artefact, directly from a shell)::
                             [--trace-out PATH] [--events-out PATH]
                             [--health-out PATH] [--ledger-out PATH]
                             [--json]
-    python -m repro bench-diff [--path BENCH_critpath.json]
-                               [--digest HEX | --baseline I --candidate J]
-    python -m repro compare BASELINE CANDIDATE [--path FILE] [--json]
-                            [--trace-out PATH] [--threshold F]
+    python -m repro compare [BASELINE CANDIDATE] [--path FILE]
+                            [--threshold F] [--trace-out PATH] [--json]
 
 ``repro sweep`` is the one way to a paper artefact (Figures 3 and 4,
 Tables 1 and 2, and the Figure-3c routing panel).  It runs the
@@ -50,16 +47,19 @@ suggestions).  Every view takes the same flags: ``--trace-out`` writes
 a Chrome trace, ``--events-out`` a JSON-lines event log,
 ``--health-out`` appends the structured health events, and
 ``--ledger-out`` appends a schema-2 run ledger record to the named
-file (nothing else is written).  ``repro bench-diff`` compares two
-perf-trajectory records and exits non-zero on a >10 % step-time
-regression; when both records are schema-2 ledger records it also
-prints the per-component critical-path diff.  ``repro compare`` is the
-full differential view: given two ledger records (by index into a
-trajectory file, or as standalone files), it attributes the step-time
-delta to critical-path components exactly, diffs the net roll-ups and
-per-object blame, and can write a side-by-side Chrome trace.  Sweeps
-stay text-only, matching the paper's artefacts; ``demo`` and
-``inspect`` take ``--json`` for machine-readable output.
+file (nothing else is written).
+
+``repro compare`` compares two run records: by index into a trajectory
+file or as standalone record files, or, with no operands, the newest
+record of ``--path`` against the previous record with its config
+digest.  It prints both median step
+times and their ratio against a fixed +10 % gate and, when both records
+carry the schema-2 critpath payload, attributes the step-time delta to
+critical-path components exactly, diffs the net roll-ups and
+per-object blame, and can write a side-by-side Chrome trace.  It exits
+1 when the ratio or the critpath total regressed.  Sweeps stay
+text-only, matching the paper's artefacts; ``inspect`` and ``compare``
+take ``--json`` for machine-readable output.
 """
 
 from __future__ import annotations
@@ -87,6 +87,7 @@ from repro.bench.sweep import (
     specs_table2,
 )
 from repro.bench.tables import render_table1, render_table2
+from repro.obs.critpath import KNEE_TOLERANCE
 
 
 def _parse_rows(values: Sequence[str]) -> Tuple[Tuple[int, int], ...]:
@@ -144,11 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "objects masking Grid latency.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    demo = sub.add_parser("demo",
-                          help="30-second latency-masking demonstration")
-    demo.add_argument("--json", action="store_true",
-                      help="machine-readable output (one row per run)")
-
     ins = sub.add_parser("inspect", help="run one configuration and "
                          "render one view of it (trace, critpath, health, "
                          "netview or objview)")
@@ -185,10 +181,10 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="MS", help="critpath: hypothetical one-way "
                      "latencies to sweep in the what-if replay (default: "
                      "Figure 3's)")
-    ins.add_argument("--tolerance", type=float, default=1.5,
+    ins.add_argument("--tolerance", type=float, default=KNEE_TOLERANCE,
                      help="critpath knee tolerance: largest latency with "
                           "predicted T(L) <= tolerance x baseline "
-                          "(default 1.5)")
+                          "(default %(default)s)")
     ins.add_argument("--per-step", action="store_true",
                      help="also print the per-step critical-path "
                           "attribution table")
@@ -238,78 +234,31 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--quiet", action="store_true",
                     help="suppress per-run progress lines (stderr)")
 
-    bd = sub.add_parser("bench-diff", help="compare two perf-trajectory "
-                        "records; exit 1 on >threshold regression")
-    bd.add_argument("--path", default=None, metavar="FILE",
-                    help="trajectory file (default BENCH_critpath.json)")
-    bd.add_argument("--digest", default=None, metavar="HEX",
-                    help="compare the newest record with this config "
-                         "digest (default: the newest record) against "
-                         "the previous record with the same digest")
-    bd.add_argument("--baseline", type=int, default=None, metavar="I",
-                    help="explicit baseline record index (0-based)")
-    bd.add_argument("--candidate", type=int, default=None, metavar="J",
-                    help="explicit candidate record index (0-based)")
-    bd.add_argument("--threshold", type=float, default=None,
-                    help="regression threshold as a fraction "
-                         "(default 0.10)")
-    bd.add_argument("--json", action="store_true",
-                    help="print the comparison as JSON instead of text")
-
-    cm = sub.add_parser("compare", help="differential run analysis: "
-                        "attribute a step-time delta to critical-path "
-                        "components exactly")
-    cm.add_argument("baseline", metavar="BASELINE",
+    cm = sub.add_parser("compare", help="compare two run records: the "
+                        "step-time ratio, and the critical-path components "
+                        "when both records carry them; exit 1 on a "
+                        "regression")
+    cm.add_argument("baseline", metavar="BASELINE", nargs="?",
                     help="baseline record: an index into --path "
                          "(0-based, negatives allowed) or a JSON file "
-                         "holding a record / ledger entry")
-    cm.add_argument("candidate", metavar="CANDIDATE",
+                         "holding a record; give both operands or "
+                         "neither (then the newest record of --path is "
+                         "the candidate and the previous record with its "
+                         "digest the baseline)")
+    cm.add_argument("candidate", metavar="CANDIDATE", nargs="?",
                     help="candidate record, same forms as BASELINE")
     cm.add_argument("--path", default=None, metavar="FILE",
-                    help="trajectory/ledger file indices refer into "
-                         "(default BENCH_critpath.json)")
+                    help="trajectory/ledger file (default "
+                         "BENCH_critpath.json)")
     cm.add_argument("--threshold", type=float, default=None,
-                    help="neutral band as a fraction of the baseline's "
-                         "total step time (default 0.02)")
+                    help="component neutral band as a fraction of the "
+                         "baseline's total step time (default 0.02)")
     cm.add_argument("--trace-out", default=None, metavar="PATH",
                     help="write a side-by-side Chrome trace (one process "
                          "per run, critpath slices) here")
     cm.add_argument("--json", action="store_true",
                     help="print the comparison as JSON instead of text")
     return parser
-
-
-def cmd_demo(args, out) -> None:
-    from repro.apps.stencil import StencilApp
-    from repro.grid import artificial_latency_env
-    from repro.units import ms
-
-    as_json = getattr(args, "json", False)
-    rows = []
-    if not as_json:
-        print("Latency masking in 4 runs (stencil, 8 PEs over two clusters):",
-              file=out)
-    for objects in (8, 128):
-        for latency in (0.0, 8.0):
-            env = artificial_latency_env(8, ms(latency))
-            app = StencilApp(env, mesh=(1024, 1024), objects=objects,
-                             payload="modeled")
-            tps = app.run(10).time_per_step_ms
-            row = {"pes": 8, "objects": objects, "latency_ms": latency,
-                   "time_per_step_ms": tps}
-            if env.aggregator is not None:
-                row["masked_fraction"] = \
-                    env.aggregator.masked_latency_fraction
-            rows.append(row)
-            if not as_json:
-                print(f"  {objects:4d} objects, {latency:4.0f} ms latency -> "
-                      f"{tps:7.2f} ms/step", file=out)
-    if as_json:
-        json.dump({"runs": rows}, out, indent=2)
-        print(file=out)
-    else:
-        print("8 ms of wide-area latency: exposed at 1 object/PE, hidden at "
-              "16/PE.", file=out)
 
 
 def _emit_ledger(args, result, env, steps_attribution, path: str,
@@ -598,66 +547,21 @@ def cmd_sweep(args, out) -> None:
         raise SystemExit(1)
 
 
-def cmd_bench_diff(args, out) -> None:
-    from repro.bench import trajectory
-
-    path = args.path if args.path else trajectory.DEFAULT_PATH
-    records = trajectory.load_records(path)
-    if not records:
-        raise SystemExit(f"no trajectory records in {path}")
-    if (args.baseline is None) != (args.candidate is None):
-        raise SystemExit("--baseline and --candidate go together")
-    if args.baseline is not None:
-        try:
-            pair = (records[args.baseline], records[args.candidate])
-        except IndexError:
-            raise SystemExit(
-                f"record index out of range (have {len(records)})")
-    else:
-        pair = trajectory.latest_pair(records, digest=args.digest)
-        if pair is None:
-            what = (f"digest {args.digest}" if args.digest
-                    else "the newest record's digest")
-            raise SystemExit(
-                f"{path}: no two records with {what} to compare")
-    threshold = (args.threshold if args.threshold is not None
-                 else trajectory.REGRESSION_THRESHOLD)
-    cmp = trajectory.compare(pair[0], pair[1], threshold=threshold)
-    # v2 ledger records carry the full critpath decomposition, so the
-    # headline ratio can be *explained*: delegate to repro.obs.diff for
-    # the per-component breakdown (what `repro compare` prints).
-    diffed = None
-    if pair[0].critpath and pair[1].critpath:
-        from repro.obs.diff import compare_records
-
-        diffed = compare_records(pair[0], pair[1])
-    if args.json:
-        doc = cmp.to_dict()
-        if diffed is not None:
-            doc["critpath_diff"] = diffed.to_dict()
-        json.dump(doc, out, indent=2)
-        print(file=out)
-    else:
-        print(cmp.render(), file=out)
-        if diffed is not None:
-            print(file=out)
-            print(diffed.render_components(), file=out)
-    if cmp.regressed:
-        raise SystemExit(1)
-
-
 def _resolve_compare_record(spec: str, records, path: str):
     """A compare operand: an index into *records* or a record file."""
-    from repro.obs.ledger import records_from_file
+    from repro.bench.trajectory import load_records
 
     try:
         index = int(spec)
     except ValueError:
         try:
-            loaded = records_from_file(spec)
-        except OSError as exc:
+            loaded = load_records(spec)
+        except (OSError, ValueError) as exc:
             raise SystemExit(f"{spec!r}: not an integer index or a "
                              f"readable record file ({exc})")
+        if not loaded:
+            raise SystemExit(f"{spec!r}: not an integer index or a "
+                             f"readable record file")
         if len(loaded) != 1:
             raise SystemExit(f"{spec}: holds {len(loaded)} records; pass "
                              f"it as --path and select by index instead")
@@ -680,21 +584,34 @@ def cmd_compare(args, out) -> None:
     )
 
     path = args.path if args.path else trajectory.DEFAULT_PATH
-    needs_index = any(_is_int(s) for s in (args.baseline, args.candidate))
-    records = trajectory.load_records(path) if needs_index else None
-    if needs_index and not records:
-        raise SystemExit(f"no trajectory records in {path}")
-    baseline = _resolve_compare_record(args.baseline, records, path)
-    candidate = _resolve_compare_record(args.candidate, records, path)
+    if (args.baseline is None) != (args.candidate is None):
+        raise SystemExit("compare takes both BASELINE and CANDIDATE, or "
+                         "neither")
+    if args.baseline is None:
+        records = trajectory.load_records(path)
+        if not records:
+            raise SystemExit(f"no trajectory records in {path}")
+        pair = trajectory.latest_pair(records)
+        if pair is None:
+            raise SystemExit(f"{path}: no two records with the newest "
+                             f"record's digest to compare")
+        baseline, candidate = pair
+    else:
+        needs_index = any(_is_int(s)
+                          for s in (args.baseline, args.candidate))
+        records = trajectory.load_records(path) if needs_index else None
+        if needs_index and not records:
+            raise SystemExit(f"no trajectory records in {path}")
+        baseline = _resolve_compare_record(args.baseline, records, path)
+        candidate = _resolve_compare_record(args.candidate, records, path)
     threshold = (args.threshold if args.threshold is not None
                  else DEFAULT_THRESHOLD)
-    try:
-        comparison = compare_records(baseline, candidate,
-                                     threshold=threshold)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
+    comparison = compare_records(baseline, candidate, threshold=threshold)
     if args.trace_out is not None:
-        write_compare_trace(comparison, args.trace_out)
+        try:
+            write_compare_trace(comparison, args.trace_out)
+        except ValueError as exc:
+            raise SystemExit(str(exc))
     if args.json:
         json.dump(comparison.to_dict(), out, indent=2)
         print(file=out)
@@ -703,7 +620,7 @@ def cmd_compare(args, out) -> None:
         if args.trace_out is not None:
             print(f"\nSide-by-side Chrome trace written to "
                   f"{args.trace_out}", file=out)
-    if comparison.verdict == "regressed":
+    if comparison.regressed:
         raise SystemExit(1)
 
 
@@ -716,10 +633,8 @@ def _is_int(spec: str) -> bool:
 
 
 COMMANDS = {
-    "demo": cmd_demo,
     "inspect": cmd_inspect,
     "sweep": cmd_sweep,
-    "bench-diff": cmd_bench_diff,
     "compare": cmd_compare,
 }
 

@@ -105,21 +105,6 @@ class MigrationMsg:
 
 
 @dataclass
-class ForwardedMsg:
-    """A message that reached a PE its target had already left.
-
-    Wraps the original payload; the scheduler re-sends it to the target's
-    current location, charging another network hop — the forwarding cost
-    real migration incurs.
-    """
-
-    original_payload: Any
-    original_size: int
-    original_priority: int
-    original_tag: str
-
-
-@dataclass
 class DriverCall:
     """A host-level callback scheduled to run on a PE at a virtual time.
 

@@ -167,7 +167,8 @@ class NetworkFabric:
                                 wire_msg.size_bytes, msg.tag,
                                 crossed_wan, seq=msg.seq,
                                 cause=msg.cause, ack_for=msg.ack_for,
-                                src_obj=msg.src_obj, dst_obj=msg.dst_obj)
+                                src_obj=msg.src_obj, dst_obj=msg.dst_obj,
+                                arq_attempt=msg.arq_attempt)
 
         if route.dropped:
             self.stats.record_drop(route.transport.name)

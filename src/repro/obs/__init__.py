@@ -32,8 +32,9 @@ Projections-grade surface:
   critical-path decomposition and net/health roll-ups, appended
   flock-safe to the file the caller names;
 * :mod:`repro.obs.diff` — differential analysis
-  (:func:`compare_records`, ``repro compare``): aligns two ledger
-  records and attributes their step-time delta to critical-path
+  (:func:`compare_records`, ``repro compare``): gates the headline
+  step-time ratio of two run records and, when both are ledger
+  records, attributes their step-time delta to critical-path
   components *exactly* (the component deltas sum to the total delta
   with zero residual under exact arithmetic).
 
@@ -97,7 +98,6 @@ _LAZY_EXPORTS = {
     "health_rollup": "repro.obs.ledger",
     "net_rollup": "repro.obs.ledger",
     "objects_rollup": "repro.obs.ledger",
-    "records_from_file": "repro.obs.ledger",
     "ComponentDelta": "repro.obs.diff",
     "RunComparison": "repro.obs.diff",
     "compare_records": "repro.obs.diff",
@@ -151,7 +151,6 @@ __all__ = [
     "health_rollup",
     "net_rollup",
     "objects_rollup",
-    "records_from_file",
     "ComponentDelta",
     "RunComparison",
     "compare_records",

@@ -43,7 +43,7 @@ from __future__ import annotations
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.network.hops import HopLedger
@@ -676,6 +676,31 @@ def predicted_step_time(graph: CausalGraph,
     return (window[-1] - window[0]) / (len(window) - 1)
 
 
+#: Knee tolerance (EXPERIMENTS.md): a sweep's knee is the largest
+#: latency whose step time stays within this factor of the
+#: lowest-latency step time.
+KNEE_TOLERANCE = 1.5
+
+
+def knee_latency(points: Sequence[Tuple[float, float]],
+                 tolerance: float = KNEE_TOLERANCE) -> float:
+    """The knee of a latency sweep, 0.0 when it is empty.
+
+    *points* are ``(latency, step time)`` pairs sorted by latency.  The
+    scan runs up from the lowest latency and stops at the first step
+    time above *tolerance* x the lowest-latency one.
+    """
+    if not points:
+        return 0.0
+    knee, base = points[0]
+    for lat, t in points:
+        if t <= tolerance * base:
+            knee = lat
+        else:
+            break
+    return knee
+
+
 @dataclass
 class KneePrediction:
     """The knee analyzer's output for one traced configuration."""
@@ -686,7 +711,7 @@ class KneePrediction:
     grid_s: List[float]
     #: Predicted steady-state step time at each grid latency.
     predicted_step_s: List[float]
-    #: Knee tolerance (EXPERIMENTS.md uses 1.5x the baseline).
+    #: Knee tolerance (:data:`KNEE_TOLERANCE` by default).
     tolerance: float
 
     @property
@@ -696,15 +721,8 @@ class KneePrediction:
     @property
     def knee_s(self) -> float:
         """Largest grid latency within tolerance x baseline (Fig-3 knee)."""
-        if not self.grid_s:
-            return 0.0
-        knee = self.grid_s[0]
-        for lat, t in zip(self.grid_s, self.predicted_step_s):
-            if t <= self.tolerance * self.baseline_s:
-                knee = lat
-            else:
-                break
-        return knee
+        return knee_latency(list(zip(self.grid_s, self.predicted_step_s)),
+                            self.tolerance)
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -719,7 +737,7 @@ class KneePrediction:
 
 def predict_knee(graph: CausalGraph, boundaries: Sequence[float],
                  observed_latency_s: float, grid_s: Sequence[float],
-                 tolerance: float = 1.5, warmup: int = 1
+                 tolerance: float = KNEE_TOLERANCE, warmup: int = 1
                  ) -> KneePrediction:
     """Predict the Figure-3 knee from one traced low-latency run.
 

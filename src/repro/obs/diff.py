@@ -1,14 +1,19 @@
-"""Differential run analysis: explain *why* two runs differ.
+"""Differential run analysis: did two runs differ, and *why*.
 
-``repro bench-diff`` says a run got 12 % slower; this module says the
-12 % is 9 % retransmit stall and 3 % stripe pacing.  Given two ledger
-records (:mod:`repro.obs.ledger`, trajectory schema 2),
-:func:`compare_records` aligns their critical-path decompositions and
-diffs them with **exact attribution**: the per-component virtual-time
-deltas sum to the total time-per-step delta with ``residual == 0.0``
-wherever the underlying arithmetic is exact (dyadic grids in the
-property tests; identical records in the CI self-compare), and the
-residual is *reported*, never absorbed, everywhere else.
+``repro compare`` judges two run records
+(:class:`~repro.bench.trajectory.RunRecord`) with two gates.  The
+headline is the ratio of their median step times, ``candidate /
+baseline``, judged against a fixed ±:data:`RATIO_THRESHOLD` band: that
+says a run got 12 % slower.  When both records carry the schema-2
+``critpath`` payload (:mod:`repro.obs.ledger`), :func:`compare_records`
+also aligns their critical-path decompositions and diffs them with
+**exact attribution**, which says the 12 % is 9 % retransmit stall and
+3 % stripe pacing: the per-component virtual-time deltas sum to the
+total time-per-step delta with ``residual == 0.0`` wherever the
+underlying arithmetic is exact (dyadic grids in the property tests;
+identical records in the CI self-compare), and the residual is
+*reported*, never absorbed, everywhere else.  Without the payload on
+both sides the comparison is the headline alone.
 
 The exactness is by construction, not hope: per-step values divide each
 component's window total by the window's step count, the totals on each
@@ -17,21 +22,27 @@ side are the same fixed-order sum over
 is ``(candidate_total - baseline_total) - sum(component deltas)`` — the
 same telescoping discipline the single-run attribution invariant uses.
 
-Each component gets a verdict — ``regressed`` / ``improved`` /
-``neutral`` — against a threshold scaled by the baseline's total step
-time (a 2 % swing of the *step* is interesting; 2 % of a nanoseconds-
-sized component is noise).  Network roll-ups and per-object blame
-diff alongside, informationally: they never drive a verdict.
+Each gate and each component gets a verdict — ``regressed`` /
+``improved`` / ``neutral``.  Components and their total are judged
+against a threshold scaled by the baseline's total step time (a 2 %
+swing of the *step* is interesting; 2 % of a nanoseconds-sized
+component is noise).  Network roll-ups and per-object blame diff
+alongside, informationally: they never drive a verdict.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
 
 from repro.bench.trajectory import RunRecord
 from repro.obs.critpath import COMPONENTS
+
+#: Headline gate: a candidate / baseline ``time_per_step_s`` ratio
+#: more than this fraction above 1.0 is a regression (below, an
+#: improvement).
+RATIO_THRESHOLD = 0.10
 
 #: Relative threshold: a component delta within this fraction of the
 #: baseline's total step time is neutral.
@@ -70,22 +81,25 @@ class ComponentDelta:
 
 @dataclass
 class RunComparison:
-    """Outcome of aligning two ledger records.
+    """Outcome of comparing two run records.
 
     All component values are virtual seconds *per step* (each side's
     window totals divided by its own step count, so runs of different
-    lengths compare honestly).
+    lengths compare honestly).  When either record lacks a ``critpath``
+    payload, ``components`` is empty, the step totals and the residual
+    are ``None``, and only the headline ratio is judged.
     """
 
     baseline: RunRecord
     candidate: RunRecord
     components: List[ComponentDelta]
-    baseline_step_s: float
-    candidate_step_s: float
-    delta_step_s: float
+    baseline_step_s: Optional[float]
+    candidate_step_s: Optional[float]
+    delta_step_s: Optional[float]
     #: (candidate_total - baseline_total) - sum(component deltas):
     #: exactly 0.0 under exact arithmetic, float noise otherwise.
-    residual_s: float
+    residual_s: Optional[float]
+    #: Verdict on the critpath total (neutral when there is none).
     verdict: str
     threshold: float
     abs_floor_s: float
@@ -104,9 +118,29 @@ class RunComparison:
         return self.baseline.digest != self.candidate.digest
 
     @property
+    def ratio(self) -> float:
+        """candidate / baseline ``time_per_step_s`` (1.0 = unchanged)."""
+        base = self.baseline.time_per_step_s
+        cand = self.candidate.time_per_step_s
+        if base <= 0:
+            return float("inf") if cand > 0 else 1.0
+        return cand / base
+
+    @property
+    def ratio_verdict(self) -> str:
+        """The headline gate's verdict on :attr:`ratio`."""
+        return _verdict(self.ratio - 1.0, RATIO_THRESHOLD)
+
+    @property
+    def regressed(self) -> bool:
+        """True when the headline ratio or the critpath total regressed."""
+        return REGRESSED in (self.ratio_verdict, self.verdict)
+
+    @property
     def all_neutral(self) -> bool:
-        """True when the total and every component verdict is neutral."""
-        return (self.verdict == NEUTRAL
+        """True when the ratio, the total and every component verdict is
+        neutral."""
+        return (self.ratio_verdict == NEUTRAL and self.verdict == NEUTRAL
                 and all(c.verdict == NEUTRAL for c in self.components))
 
     @property
@@ -116,41 +150,48 @@ class RunComparison:
 
     # -- rendering --------------------------------------------------------
 
-    def render_components(self) -> str:
-        """The per-component table alone (bench-diff embeds this)."""
-        width = max(len(c.component) for c in self.components)
-        lines = [f"{'component':<{width}}  {'baseline':>12}  "
-                 f"{'candidate':>12}  {'delta':>12}  verdict"]
-        for c in self.components:
-            lines.append(
-                f"{c.component:<{width}}  {c.baseline_s * 1e3:9.4f} ms"
-                f"  {c.candidate_s * 1e3:9.4f} ms"
-                f"  {c.delta_s * 1e3:+9.4f} ms  {c.verdict}")
-        lines.append(
-            f"{'total/step':<{width}}  {self.baseline_step_s * 1e3:9.4f} ms"
-            f"  {self.candidate_step_s * 1e3:9.4f} ms"
-            f"  {self.delta_step_s * 1e3:+9.4f} ms  {self.verdict}")
-        lines.append(f"residual {self.residual_s:+.3e} s"
-                     + ("  (exact)" if self.exact else ""))
-        return "\n".join(lines)
-
     def render(self) -> str:
-        lines = [
-            f"baseline  {self.baseline.name}  "
-            f"(digest {self.baseline.digest})",
-            f"candidate {self.candidate.name}  "
-            f"(digest {self.candidate.digest})",
-        ]
+        lines = []
+        for label, rec in (("baseline ", self.baseline),
+                           ("candidate", self.candidate)):
+            lines.append(f"{label} {rec.name}  "
+                         f"{rec.time_per_step_s * 1e3:.3f} ms/step  "
+                         f"(digest {rec.digest})")
+        lines.append(f"ratio     {self.ratio:.3f}x  "
+                     f"(threshold +{RATIO_THRESHOLD:.0%})  -> "
+                     f"{self.ratio_verdict}")
         if self.config_changed:
             lines.append("note      config digests differ: the comparison "
                          "crosses configurations")
+        for key, attr in (("masked fraction", "masked_fraction"),
+                          ("critpath compute share",
+                           "critpath_compute_share")):
+            b = getattr(self.baseline, attr)
+            c = getattr(self.candidate, attr)
+            if b is not None and c is not None:
+                lines.append(f"{key:24s} {b:.3f} -> {c:.3f}")
         lines.append("")
-        lines.append(self.render_components())
-        lines.append("")
-        lines.append(
-            f"measured median step "
-            f"{self.baseline.time_per_step_s * 1e3:.3f} ms -> "
-            f"{self.candidate.time_per_step_s * 1e3:.3f} ms")
+        if not self.components:
+            lines.append("no critpath payload on one or both records: "
+                         "headline only")
+        else:
+            width = max(len(c.component) for c in self.components)
+            lines.append(f"{'component':<{width}}  {'baseline':>12}  "
+                         f"{'candidate':>12}  {'delta':>12}  verdict")
+            for c in self.components:
+                lines.append(
+                    f"{c.component:<{width}}  {c.baseline_s * 1e3:9.4f} ms"
+                    f"  {c.candidate_s * 1e3:9.4f} ms"
+                    f"  {c.delta_s * 1e3:+9.4f} ms  {c.verdict}")
+            lines.append(
+                f"{'total/step':<{width}}"
+                f"  {self.baseline_step_s * 1e3:9.4f} ms"
+                f"  {self.candidate_step_s * 1e3:9.4f} ms"
+                f"  {self.delta_step_s * 1e3:+9.4f} ms  {self.verdict}")
+            lines.append(f"residual {self.residual_s:+.3e} s"
+                         + ("  (exact)" if self.exact else ""))
+        if self.net or self.objects:
+            lines.append("")
         if self.net:
             lines.append("net roll-up:")
             for name in sorted(self.net):
@@ -181,6 +222,8 @@ class RunComparison:
             "schema": 1,
             "baseline": _side(self.baseline),
             "candidate": _side(self.candidate),
+            "ratio": {"value": self.ratio, "threshold": RATIO_THRESHOLD,
+                      "verdict": self.ratio_verdict},
             "threshold": self.threshold,
             "abs_floor_s": self.abs_floor_s,
             "components": [c.to_dict() for c in self.components],
@@ -240,43 +283,35 @@ def compare_records(baseline: RunRecord, candidate: RunRecord, *,
                     threshold: float = DEFAULT_THRESHOLD,
                     abs_floor_s: float = DEFAULT_ABS_FLOOR_S
                     ) -> RunComparison:
-    """Align two ledger records and diff their critpath decompositions.
+    """Compare two run records: the headline step ratio always, and the
+    critpath decompositions when both records carry one."""
+    components: List[ComponentDelta] = []
+    b_total = c_total = delta_total = residual = None
+    verdict = NEUTRAL
+    if baseline.critpath and candidate.critpath:
+        b_cp, c_cp = baseline.critpath, candidate.critpath
+        b_vals = [_per_step(b_cp, f"{k}_s") for k in COMPONENTS]
+        c_vals = [_per_step(c_cp, f"{k}_s") for k in COMPONENTS]
+        b_total = 0.0
+        for v in b_vals:
+            b_total += v
+        c_total = 0.0
+        for v in c_vals:
+            c_total += v
+        delta_total = c_total - b_total
+        deltas = [c - b for b, c in zip(b_vals, c_vals)]
+        delta_sum = 0.0
+        for d in deltas:
+            delta_sum += d
+        residual = delta_total - delta_sum
 
-    Raises
-    ------
-    ValueError
-        If either record lacks the v2 ``critpath`` payload (v1 records
-        can only be compared by ``repro bench-diff``'s headline ratio).
-    """
-    for label, rec in (("baseline", baseline), ("candidate", candidate)):
-        if not rec.critpath:
-            raise ValueError(
-                f"{label} record {rec.name!r} has no critpath payload "
-                f"(schema {rec.schema}); re-run it with --ledger-out or "
-                f"a v2-aware harness to enable component diffing")
-    b_cp, c_cp = baseline.critpath, candidate.critpath
-
-    b_vals = [_per_step(b_cp, f"{k}_s") for k in COMPONENTS]
-    c_vals = [_per_step(c_cp, f"{k}_s") for k in COMPONENTS]
-    b_total = 0.0
-    for v in b_vals:
-        b_total += v
-    c_total = 0.0
-    for v in c_vals:
-        c_total += v
-    delta_total = c_total - b_total
-    deltas = [c - b for b, c in zip(b_vals, c_vals)]
-    delta_sum = 0.0
-    for d in deltas:
-        delta_sum += d
-    residual = delta_total - delta_sum
-
-    scale = max(abs_floor_s, threshold * b_total)
-    components = [
-        ComponentDelta(component=k, baseline_s=b, candidate_s=c,
-                       delta_s=d, verdict=_verdict(d, scale))
-        for k, b, c, d in zip(COMPONENTS, b_vals, c_vals, deltas)
-    ]
+        scale = max(abs_floor_s, threshold * b_total)
+        components = [
+            ComponentDelta(component=k, baseline_s=b, candidate_s=c,
+                           delta_s=d, verdict=_verdict(d, scale))
+            for k, b, c, d in zip(COMPONENTS, b_vals, c_vals, deltas)
+        ]
+        verdict = _verdict(delta_total, scale)
 
     net: Dict[str, Dict[str, float]] = {}
     b_net = baseline.extra.get("net") or {}
@@ -307,15 +342,24 @@ def compare_records(baseline: RunRecord, candidate: RunRecord, *,
     return RunComparison(
         baseline=baseline, candidate=candidate, components=components,
         baseline_step_s=b_total, candidate_step_s=c_total,
-        delta_step_s=delta_total, residual_s=residual,
-        verdict=_verdict(delta_total, scale),
+        delta_step_s=delta_total, residual_s=residual, verdict=verdict,
         threshold=threshold, abs_floor_s=abs_floor_s,
         net=net, objects=objects)
 
 
 def write_compare_trace(comparison: RunComparison, path: str) -> None:
-    """Validate and write the comparison's Chrome trace to *path*."""
+    """Validate and write the comparison's Chrome trace to *path*.
+
+    Raises
+    ------
+    ValueError
+        If the comparison has no components to draw.
+    """
     from repro.obs.export import validate_chrome_trace
+
+    if not comparison.components:
+        raise ValueError("no critpath payload on one or both records: "
+                         "no side-by-side trace to draw")
 
     doc = comparison.chrome_trace()
     validate_chrome_trace(doc)

@@ -18,9 +18,9 @@ The telemetry sampler (:mod:`repro.obs.timeseries`) produces a stream of
   - **unmasking** — the idle fraction trended above
     ``unmasked_idle_threshold``: the latency the runtime was hiding is
     now *visible*, i.e. the Figure-3 knee observed online rather than
-    post-hoc (warning).  The default threshold ``1 - 1/1.5`` is exactly
-    the idle share at which step time reaches 1.5x the compute-bound
-    baseline — the same tolerance the knee analyzer uses;
+    post-hoc (warning).  The default threshold ``1 - 1/KNEE_TOLERANCE``
+    is exactly the idle share at which step time reaches 1.5x the
+    compute-bound baseline — the same tolerance the knee analyzer uses;
   - **wan-saturation** — the busiest WAN lane's windowed busy fraction
     exceeded ``wan_saturation_busy`` while the idle fraction was rising:
     the run is bandwidth-bound, not latency-bound, so adding objects
@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional
 
 from repro.errors import ConfigurationError
+from repro.obs.critpath import KNEE_TOLERANCE
 
 
 @dataclass(frozen=True)
@@ -115,9 +116,9 @@ class HealthConfig:
     #: (ratios over near-zero means are noise).
     imbalance_min_util: float = 0.05
     #: Unmasking: idle fraction above this means the WAN latency is no
-    #: longer hidden.  ``1 - 1/1.5`` matches the knee analyzer's 1.5x
-    #: step-time tolerance.
-    unmasked_idle_threshold: float = 1.0 - 1.0 / 1.5
+    #: longer hidden.  ``1 - 1/KNEE_TOLERANCE`` is the idle share at
+    #: which step time reaches the knee's step-time tolerance.
+    unmasked_idle_threshold: float = 1.0 - 1.0 / KNEE_TOLERANCE
     #: WAN saturation: a wire lane's windowed busy fraction above this
     #: while the idle fraction is rising means the link itself — not the
     #: latency — became the bottleneck (bandwidth-bound, not

@@ -18,14 +18,14 @@ runs *comparable*.  Every traced run can emit one compact
 A record is written only where a caller names the file: ``repro
 inspect --ledger-out PATH`` and ``benchmarks/perf_smoke.py`` append it
 with :func:`repro.bench.trajectory.append_record` (advisory lock,
-atomic rename).  ``repro compare`` (:mod:`repro.obs.diff`) consumes
-pairs of these records.
+atomic rename), and :func:`repro.bench.trajectory.load_records` reads
+them back.  ``repro compare`` (:mod:`repro.obs.diff`) consumes pairs of
+these records.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.bench.trajectory import RunRecord
 from repro.obs.critpath import COMPONENTS, WIRE_COMPONENTS
@@ -205,15 +205,3 @@ def build_run_record(*, name: str, config: Dict[str, Any], result, env,
         schema=LEDGER_SCHEMA,
         critpath=critpath,
     )
-
-
-def records_from_file(path: str) -> List[RunRecord]:
-    """Records from *path*: a trajectory array or a single record dict,
-    whichever the file holds."""
-    with open(path) as fh:
-        raw = json.load(fh)
-    if isinstance(raw, list):
-        return [RunRecord.from_dict(d) for d in raw]
-    if isinstance(raw, dict):
-        return [RunRecord.from_dict(raw)]
-    raise ValueError(f"{path}: not a trajectory array or record object")

@@ -750,12 +750,14 @@ class TraceFanout:
                      cause: Optional[int] = None,
                      ack_for: Optional[int] = None,
                      src_obj: Optional[str] = None,
-                     dst_obj: Optional[str] = None) -> None:
+                     dst_obj: Optional[str] = None,
+                     arq_attempt: int = 0) -> None:
         self._fanout(lambda s: s.message_sent(now, src_pe, dst_pe, size,
                                               tag, crossed_wan, seq,
                                               cause=cause, ack_for=ack_for,
                                               src_obj=src_obj,
-                                              dst_obj=dst_obj))
+                                              dst_obj=dst_obj,
+                                              arq_attempt=arq_attempt))
 
     def message_delivered(self, now: float, src_pe: int, dst_pe: int,
                           size: int, tag: str, crossed_wan: bool,
@@ -941,8 +943,6 @@ class TraceAggregator:
         self.wan = WanOverlapStats()
         #: dst_pe -> {(src_pe, seq): open window}.
         self._wan_open: Dict[int, Dict[Tuple[int, int], _OpenWindow]] = {}
-        #: (src, dst, seq) triples already delivered (dup suppression).
-        self._wan_delivered: set = set()
         #: Per-lane usage folded online from hop ledgers (flight recorder).
         self._links: Dict[str, LinkUsage] = {}
 
@@ -1018,7 +1018,8 @@ class TraceAggregator:
                      cause: Optional[int] = None,
                      ack_for: Optional[int] = None,
                      src_obj: Optional[str] = None,
-                     dst_obj: Optional[str] = None) -> None:
+                     dst_obj: Optional[str] = None,
+                     arq_attempt: int = 0) -> None:
         self.sends += 1
         self.bytes_sent += size
         rec = self._ov_record
@@ -1030,13 +1031,13 @@ class TraceAggregator:
             return
         self.wan_sends += 1
         self.wan_bytes_sent += size
-        if (src_pe, dst_pe, seq) in self._wan_delivered:
-            return  # late retransmission of an already-delivered id
+        if arq_attempt >= 2:
+            # An ARQ retransmission: its window, if still open, keeps
+            # the first send time; if already closed, stays closed.
+            return
         opens = self._wan_open.setdefault(dst_pe, {})
-        key = (src_pe, seq)
-        if key not in opens:  # retransmits keep the *first* send time
-            opens[key] = _OpenWindow(now)
-            self.wan.open_windows += 1
+        opens[(src_pe, seq)] = _OpenWindow(now)
+        self.wan.open_windows += 1
 
     def message_delivered(self, now: float, src_pe: int, dst_pe: int,
                           size: int, tag: str, crossed_wan: bool, seq: int,
@@ -1055,14 +1056,12 @@ class TraceAggregator:
         if not crossed_wan:
             return
         self.wan_delivers += 1
-        triple = (src_pe, dst_pe, seq)
-        if triple in self._wan_delivered:
-            return  # duplicate delivery: first one closed the window
         opens = self._wan_open.get(dst_pe)
         win = opens.pop((src_pe, seq), None) if opens is not None else None
         if win is None:
-            return  # delivery without a recorded send (partial trace)
-        self._wan_delivered.add(triple)
+            # A duplicate (the first copy closed the window) or a
+            # delivery without a recorded send (partial trace).
+            return
         open_exec = self._open_exec.get(dst_pe)
         if open_exec is not None:
             start = open_exec[0]
@@ -1231,10 +1230,12 @@ class Tracer(TraceAggregator):
                      cause: Optional[int] = None,
                      ack_for: Optional[int] = None,
                      src_obj: Optional[str] = None,
-                     dst_obj: Optional[str] = None) -> None:
+                     dst_obj: Optional[str] = None,
+                     arq_attempt: int = 0) -> None:
         """Record a message leaving its source PE."""
         super().message_sent(now, src_pe, dst_pe, size, tag, crossed_wan,
-                             seq, cause, ack_for, src_obj, dst_obj)
+                             seq, cause, ack_for, src_obj, dst_obj,
+                             arq_attempt)
         self.messages.append(MessageEvent(
             "send", now, src_pe, dst_pe, size, tag, crossed_wan, seq,
             cause, ack_for, src_obj, dst_obj))

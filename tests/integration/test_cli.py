@@ -62,22 +62,10 @@ def test_artefact_subcommands_folded_into_sweep():
             build_parser().parse_args([old])
 
 
-def test_demo_runs():
-    code, text = run_cli(["demo"])
-    assert code == 0
-    assert "ms/step" in text
-    assert "hidden" in text
-
-
-def test_demo_json():
-    code, text = run_cli(["demo", "--json"])
-    assert code == 0
-    doc = json.loads(text)
-    assert len(doc["runs"]) == 4
-    for row in doc["runs"]:
-        assert {"pes", "objects", "latency_ms",
-                "time_per_step_ms", "masked_fraction"} <= set(row)
-        assert 0.0 <= row["masked_fraction"] <= 1.0
+def test_folded_subcommands_rejected():
+    for old in ("bench-diff", "demo"):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([old])
 
 
 def test_trace_text_report():

@@ -12,9 +12,9 @@ import json
 
 import pytest
 
+from repro.bench.trajectory import load_records
 from repro.cli import main
 from repro.obs.export import validate_chrome_trace
-from repro.obs.ledger import records_from_file
 
 
 def run_cli(argv):
@@ -40,7 +40,7 @@ def ledger(tmp_path, monkeypatch):
 
 
 def test_critpath_ledger_out_writes_schema2_records(ledger, tmp_path):
-    records = records_from_file(str(ledger))
+    records = load_records(str(ledger))
     # Dedup is off for ledger files: both records are present even
     # though the runs are bit-identical (that is the point of A/B).
     assert len(records) == 2
@@ -67,7 +67,7 @@ def test_netview_ledger_out_carries_net_rollup(tmp_path, monkeypatch):
                        "--mesh", "256", "--steps", "4", "--latency", "2",
                        "--ledger-out", str(path)])
     assert code == 0
-    (rec,) = records_from_file(str(path))
+    (rec,) = load_records(str(path))
     assert rec.schema == 2
     assert rec.critpath is not None
     assert rec.config["experiment"] == "netview"
@@ -124,7 +124,7 @@ def test_compare_detects_fabricated_regression(ledger):
 
 
 def test_compare_accepts_standalone_record_files(ledger, tmp_path):
-    records = records_from_file(str(ledger))
+    records = load_records(str(ledger))
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     a.write_text(json.dumps(records[0].to_dict()))
     b.write_text(json.dumps(records[1].to_dict()))
@@ -133,14 +133,51 @@ def test_compare_accepts_standalone_record_files(ledger, tmp_path):
     assert "(exact)" in text
 
 
-def test_compare_rejects_records_without_critpath(ledger):
+def test_compare_rejects_records_without_critpath(ledger, tmp_path):
+    """A record without critpath gets the headline comparison alone."""
     records = json.loads(ledger.read_text())
     del records[0]["critpath"]
     records[0]["schema"] = 1
     ledger.write_text(json.dumps(records))
+    code, text = run_cli(["compare", "0", "1", "--path", str(ledger)])
+    assert code == 0
+    assert "-> neutral" in text
+    assert "no critpath payload" in text
+    assert "total/step" not in text
+
+    code, text = run_cli(["compare", "0", "1", "--path", str(ledger),
+                          "--json"])
+    doc = json.loads(text)
+    assert doc["components"] == []
+    assert doc["ratio"] == {"value": 1.0, "threshold": 0.1,
+                            "verdict": "neutral"}
+    assert doc["all_neutral"] is True
+
+    # No components, so no side-by-side trace to draw.
+    with pytest.raises(SystemExit) as err:
+        run_cli(["compare", "0", "1", "--path", str(ledger),
+                 "--trace-out", str(tmp_path / "cmp.trace.json")])
+    assert "no critpath payload" in str(err.value)
+
+
+def test_compare_gates_the_step_time_ratio(ledger):
+    """Equal critpath payloads, 2x the median step: the headline gate
+    alone fails the comparison."""
+    records = json.loads(ledger.read_text())
+    records[1]["time_per_step_s"] = records[0]["time_per_step_s"] * 2.0
+    ledger.write_text(json.dumps(records))
     with pytest.raises(SystemExit) as err:
         run_cli(["compare", "0", "1", "--path", str(ledger)])
-    assert "no critpath payload" in str(err.value)
+    assert err.value.code == 1
+    out = io.StringIO()
+    with pytest.raises(SystemExit):
+        main(["compare", "0", "1", "--path", str(ledger), "--json"],
+             out=out)
+    doc = json.loads(out.getvalue())
+    assert doc["ratio"]["value"] == 2.0
+    assert doc["ratio"]["verdict"] == "regressed"
+    assert doc["total"]["verdict"] == "neutral"
+    assert doc["all_neutral"] is False
 
 
 def test_compare_operand_errors(ledger, tmp_path):
@@ -155,19 +192,24 @@ def test_compare_operand_errors(ledger, tmp_path):
         run_cli(["compare", str(tmp_path / "nope.json"), "0",
                  "--path", str(ledger)])
     assert "not an integer index" in str(err.value)
+    with pytest.raises(SystemExit) as err:
+        run_cli(["compare", "0", "--path", str(ledger)])
+    assert "or neither" in str(err.value)
 
 
-def test_bench_diff_delegates_to_component_diff(ledger):
-    """With v2 records in the trajectory, bench-diff explains its
-    headline ratio with the per-component table from repro compare."""
-    code, text = run_cli(["bench-diff", "--path", str(ledger)])
+def test_compare_without_operands_runs_both_gates(ledger):
+    """With no operands, compare pairs the newest record with the
+    previous one of its digest and prints the headline ratio together
+    with the per-component table."""
+    code, text = run_cli(["compare", "--path", str(ledger)])
     assert code == 0
     assert "ratio" in text
     assert "retransmit_stall" in text   # the component table rode along
     assert "(exact)" in text
 
-    code, text = run_cli(["bench-diff", "--path", str(ledger), "--json"])
+    code, text = run_cli(["compare", "--path", str(ledger), "--json"])
     assert code == 0
     doc = json.loads(text)
-    assert doc["critpath_diff"]["all_neutral"] is True
-    assert doc["critpath_diff"]["residual_s"] == 0.0
+    assert doc["all_neutral"] is True
+    assert doc["residual_s"] == 0.0
+    assert doc["ratio"]["verdict"] == "neutral"

@@ -161,7 +161,7 @@ def log_stencil(log, latency_ms):
     log_trajectory(point, result, env, str(log))
 
 
-def test_cli_bench_diff(tmp_path):
+def test_cli_compare_newest_pair(tmp_path):
     log = tmp_path / "traj.json"
     log_stencil(log, 0.0)
     log_stencil(log, 0.0)
@@ -171,25 +171,26 @@ def test_cli_bench_diff(tmp_path):
     records = json.loads(log.read_text())
     assert len(records) == 1
 
-    # An unchanged re-run compares ok; fabricate the candidate record
-    # (dedup only collapses *identical* runs appended by log_trajectory).
+    # An unchanged re-run compares neutral; fabricate the candidate
+    # record (dedup only collapses *identical* runs appended by
+    # log_trajectory).
     records.append(dict(records[-1]))
     log.write_text(json.dumps(records))
-    code, text = run_cli(["bench-diff", "--path", str(log)])
+    code, text = run_cli(["compare", "--path", str(log)])
     assert code == 0
-    assert "ratio" in text and "ok" in text
+    assert "ratio" in text and "-> neutral" in text
 
-    # A fabricated 2x slowdown must fail the diff.
+    # A fabricated 2x slowdown must fail the comparison.
     records = json.loads(log.read_text())
     records[-1] = dict(records[-1], time_per_step_s=
                        records[-1]["time_per_step_s"] * 2.0)
     log.write_text(json.dumps(records))
     with pytest.raises(SystemExit) as err:
-        run_cli(["bench-diff", "--path", str(log)])
+        run_cli(["compare", "--path", str(log)])
     assert err.value.code == 1
 
 
-def test_cli_bench_diff_gates_newest_record_not_newest_pair(tmp_path):
+def test_cli_compare_gates_newest_record_not_newest_pair(tmp_path):
     log = tmp_path / "traj.json"
     log_stencil(log, 0.0)
     log_stencil(log, 2.0)
@@ -201,16 +202,16 @@ def test_cli_bench_diff_gates_newest_record_not_newest_pair(tmp_path):
     slow_a = dict(a, time_per_step_s=a["time_per_step_s"] * 2.0)
     log.write_text(json.dumps([a, b, dict(b), slow_a]))
     with pytest.raises(SystemExit) as err:
-        run_cli(["bench-diff", "--path", str(log)])
+        run_cli(["compare", "--path", str(log)])
     assert err.value.code == 1
 
     # A newest record with no earlier same-digest record has no baseline.
     log.write_text(json.dumps([b, dict(b), a]))
     with pytest.raises(SystemExit) as err:
-        run_cli(["bench-diff", "--path", str(log)])
+        run_cli(["compare", "--path", str(log)])
     assert "no two records" in str(err.value.code)
 
 
-def test_cli_bench_diff_empty_log(tmp_path):
+def test_cli_compare_empty_log(tmp_path):
     with pytest.raises(SystemExit):
-        run_cli(["bench-diff", "--path", str(tmp_path / "missing.json")])
+        run_cli(["compare", "--path", str(tmp_path / "missing.json")])

@@ -140,6 +140,26 @@ def test_object_fold_parks_no_ack_deliveries():
     assert len(fold._pending) <= rstats.dups_suppressed
 
 
+def _retained_size(agg):
+    """Total length of the aggregator's dict, set and list attributes,
+    the object fold aside (its buffer is bounded on its own)."""
+    return sum(len(v) for k, v in vars(agg).items()
+               if k != "objview" and isinstance(v, (dict, set, list)))
+
+
+def test_stats_state_does_not_grow_with_run_length():
+    """A clean run keeps no per-message state once its WAN windows
+    close: 8 and 16 steps leave the same retained containers."""
+    sizes = []
+    for steps in (8, 16):
+        env = artificial_latency_env(8, ms(8.0))
+        StencilApp(env, mesh=(512, 512), objects=64,
+                   payload="modeled").run(steps)
+        assert env.aggregator.wan.windows > 0
+        sizes.append(_retained_size(env.aggregator))
+    assert sizes[0] == sizes[1]
+
+
 # -- the metrics registry: one pull view in every obs mode -------------------
 
 def test_registry_snapshot_same_in_every_obs_mode():

@@ -21,7 +21,6 @@ from repro.obs.export import validate_chrome_trace
 from repro.obs.ledger import (
     attribution_totals,
     health_rollup,
-    records_from_file,
 )
 
 
@@ -75,16 +74,32 @@ def test_health_rollup_counts_by_rule_and_severity():
 # -- record files ----------------------------------------------------------
 
 
-def test_records_from_file_accepts_all_shapes(tmp_path):
+def test_load_records_accepts_all_shapes(tmp_path):
     rec = mk_record(critpath={"compute": 1.0})
     # single record dict
     single = tmp_path / "one.json"
     single.write_text(json.dumps(rec.to_dict()))
-    assert records_from_file(str(single))[0].same_run(rec)
+    (loaded,) = load_records(str(single))
+    assert loaded.same_run(rec)
     # trajectory array
     arr = tmp_path / "arr.json"
     append_record(rec, path=str(arr))
-    assert records_from_file(str(arr))[0].same_run(rec)
+    (loaded,) = load_records(str(arr))
+    assert loaded.same_run(rec)
+    # anything else is not a record file
+    bad = tmp_path / "bad.json"
+    bad.write_text("3")
+    with pytest.raises(ValueError, match="not a trajectory array"):
+        load_records(str(bad))
+
+
+def test_append_record_rejects_a_single_record_file(tmp_path):
+    """Only reading accepts the single-record shape: appending to it
+    would turn a compare operand into a two-record file."""
+    single = tmp_path / "one.json"
+    single.write_text(json.dumps(mk_record().to_dict()))
+    with pytest.raises(ValueError, match="expected a JSON array"):
+        append_record(mk_record("b"), path=str(single))
 
 
 # -- trajectory dedup ------------------------------------------------------
@@ -173,12 +188,23 @@ def test_improvement_verdict_and_threshold_scale():
 
 
 def test_compare_requires_critpath_payload():
+    """Components are diffed only when both records carry critpath;
+    otherwise the comparison is the headline ratio alone."""
     v1 = RunRecord(name="old", config={}, time_per_step_s=1.0)
     v2 = mk_record(critpath={"compute": 1.0})
-    with pytest.raises(ValueError, match="no critpath payload"):
-        compare_records(v1, v2)
-    with pytest.raises(ValueError, match="candidate"):
-        compare_records(v2, v1)
+    for base, cand in ((v1, v2), (v2, v1)):
+        cmp = compare_records(base, cand)
+        assert cmp.components == []
+        assert cmp.baseline_step_s is None and cmp.residual_s is None
+        assert cmp.ratio == 1.0 and cmp.ratio_verdict == "neutral"
+        assert cmp.all_neutral and not cmp.regressed
+        assert "no critpath payload" in cmp.render()
+        assert cmp.to_dict()["components"] == []
+    slow = RunRecord(name="old", config={}, time_per_step_s=1.25)
+    cmp = compare_records(v1, slow)
+    assert cmp.ratio_verdict == "regressed" and cmp.regressed
+    fast = RunRecord(name="old", config={}, time_per_step_s=0.5)
+    assert compare_records(v1, fast).ratio_verdict == "improved"
 
 
 def test_compare_handles_different_step_counts():

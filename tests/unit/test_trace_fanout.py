@@ -22,8 +22,8 @@ class _RecordingSink:
 
     def message_sent(self, now, src_pe, dst_pe, size, tag, crossed_wan,
                      seq=None, cause=None, ack_for=None,
-                     src_obj=None, dst_obj=None):
-        self.events.append(("sent", src_pe, dst_pe))
+                     src_obj=None, dst_obj=None, arq_attempt=0):
+        self.events.append(("sent", src_pe, dst_pe, arq_attempt))
 
     def message_delivered(self, now, src_pe, dst_pe, size, tag,
                           crossed_wan, seq=None, cause=None, ack_for=None,
@@ -113,7 +113,7 @@ def test_all_event_kinds_fan_out():
     fan = TraceFanout([a, b])
     fan.begin_execute(1, 0.5, "Chare", "entry")
     fan.end_execute(1, 0.6)
-    fan.message_sent(0.7, 0, 1, 64, "t", True)
+    fan.message_sent(0.7, 0, 1, 64, "t", True, arq_attempt=2)
     fan.message_delivered(0.8, 0, 1, 64, "t", True)
     fan.message_dropped(0.9, 0, 1, 64, "t", True)
     fan.note_retransmit()
@@ -121,6 +121,7 @@ def test_all_event_kinds_fan_out():
     fan.message_hops(1.0, 0, 4, 64, "t", True, 7, 1.2, ())
     assert a.events == b.events
     assert len(a.events) == 8
+    assert a.events[2] == ("sent", 0, 1, 2)
     assert a.events[-1] == ("hops", 7, 0)
 
 
