@@ -15,7 +15,10 @@ What is checked is read from the document itself:
   is a known one.  With ``--require-neutral`` the gate also fails
   unless the comparison is an exact, all-neutral self-compare with a
   neutral ratio — the CI smoke runs the same configuration twice, so
-  anything non-neutral means the attribution pipeline itself drifted;
+  anything non-neutral means the attribution pipeline itself drifted.
+  A headline-only document (``components: []``, from records without
+  a critpath payload) must carry a null total and residual, and
+  ``--require-neutral`` then asks only for a neutral ratio;
 * otherwise a ``repro inspect --json`` report, checked section by
   section: ``net`` (the network flight recorder: busy fractions in
   [0, 1], lane roll-ups consistent with the per-lane rows, top messages
@@ -202,12 +205,21 @@ def check_objects(objects):
 
 
 def check_compare(doc, require_neutral=False):
-    """A whole ``repro compare --json`` document."""
+    """A whole ``repro compare --json`` document.
+
+    An empty ``components`` list marks a headline-only comparison (a
+    side carries no critpath payload): only the step-time ratio was
+    judged, so the critpath total and residual must be null and
+    ``all_neutral`` must follow the ratio verdict alone.
+    """
     if doc.get("schema") != 1:
         _fail(f"schema is {doc.get('schema')!r}, want 1")
+    components = doc.get("components")
+    if not isinstance(components, list):
+        _fail("components must be a list")
     for side in ("baseline", "candidate"):
         _check_mapping(side, doc.get(side), SIDE_KEYS)
-        if doc[side]["schema"] < 2:
+        if components and doc[side]["schema"] < 2:
             _fail(f"{side} record schema {doc[side]['schema']} < 2 — no "
                   f"critpath payload to have diffed")
     ratio = doc.get("ratio")
@@ -220,9 +232,8 @@ def check_compare(doc, require_neutral=False):
     if ratio["value"] != doc["candidate"]["time_per_step_s"] / base:
         _fail(f"ratio.value {ratio['value']!r} != candidate / baseline "
               f"time_per_step_s")
-    components = doc.get("components")
-    if not isinstance(components, list):
-        _fail("components must be a list")
+    if not components:
+        return _check_headline_only(doc, require_neutral)
     delta_sum = 0.0
     for i, row in enumerate(components):
         _check_mapping(f"components[{i}]", row, COMPONENT_KEYS)
@@ -268,6 +279,32 @@ def check_compare(doc, require_neutral=False):
     return doc
 
 
+def _check_headline_only(doc, require_neutral):
+    """The rest of a compare document that has no component table."""
+    total = doc.get("total")
+    _check_mapping("total", total, {"verdict": object})
+    for key in ("baseline_s", "candidate_s", "delta_s"):
+        if key not in total or total[key] is not None:
+            _fail(f"total.{key} must be null without a component table")
+    if total["verdict"] not in VERDICTS:
+        _fail(f"total.verdict {total['verdict']!r} invalid")
+    _check_mapping("document", doc, {"all_neutral": bool,
+                                     "config_changed": bool,
+                                     "net": dict})
+    if "residual_s" not in doc or doc["residual_s"] is not None:
+        _fail("residual_s must be null without a component table")
+    if doc.get("exact") is not False:
+        _fail("exact must be false without a component table")
+    ratio_neutral = doc["ratio"]["verdict"] == "neutral"
+    if doc["all_neutral"] != ratio_neutral:
+        _fail(f"all_neutral {doc['all_neutral']} disagrees with ratio "
+              f"verdict {doc['ratio']['verdict']}")
+    if require_neutral and not (ratio_neutral and doc["all_neutral"]):
+        _fail(f"self-compare ratio {doc['ratio']['value']!r} is "
+              f"{doc['ratio']['verdict']}, not neutral")
+    return doc
+
+
 def check(doc, require_neutral=False):
     """Check every known section *doc* carries.
 
@@ -277,6 +314,10 @@ def check(doc, require_neutral=False):
         _fail("document must be a JSON object")
     if "baseline" in doc and "candidate" in doc:
         check_compare(doc, require_neutral)
+        if not doc["components"]:
+            return [f"compare: ratio {doc['ratio']['verdict']}, headline "
+                    "only (no critpath payload)"
+                    + (", all neutral" if doc["all_neutral"] else "")]
         return [f"compare: ratio {doc['ratio']['verdict']}, "
                 f"total {doc['total']['verdict']}, "
                 f"{len(doc['components'])} components, residual "

@@ -69,12 +69,40 @@ class StencilRunConfig:
                 f"kernel must be one of {KERNEL_MODES}, got {self.kernel!r}")
 
 
+@dataclass(frozen=True)
+class StencilCharges:
+    """The virtual-time charges of one run, shared by every block.
+
+    All blocks of a decomposition have one shape, so a ghost's charge
+    depends only on its side and a send's only on the neighbor count.
+    Computed once per run from the cost model, never per message, and
+    shared, so a block holds no copy.
+    """
+
+    #: Receiving one ghost vector, by the side it fills.
+    ghost: Dict[str, float]
+    #: One Jacobi update of a block.
+    compute: float
+    #: Packing one step's ghost vectors, indexed by neighbor count.
+    send: Tuple[float, ...]
+
+    @classmethod
+    def of(cls, costs: StencilCostModel,
+           decomp: BlockDecomposition) -> "StencilCharges":
+        return cls(
+            ghost={side: costs.ghost_cost(decomp.ghost_bytes(side))
+                   for side in OPPOSITE},
+            compute=costs.compute_cost(decomp.block_rows, decomp.block_cols),
+            send=tuple(costs.send_cost(n) for n in range(len(OPPOSITE) + 1)))
+
+
 class StencilBlock(Chare):
     """One mesh block of the five-point stencil decomposition."""
 
     def __init__(self, bi: int, bj: int, decomp: BlockDecomposition,
                  config: StencilRunConfig, initial: Optional[np.ndarray],
-                 done_targets: Tuple[Any, Any, Any]) -> None:
+                 done_targets: Tuple[Any, Any, Any],
+                 charges: StencilCharges) -> None:
         super().__init__()
         self.bi = bi
         self.bj = bj
@@ -82,13 +110,12 @@ class StencilBlock(Chare):
         self.config = config
         self.neighbors = decomp.neighbors(bi, bj)
         self.done_targets = done_targets  # (times_cb, checksum_cb, mesh_cb)
-        #: Precomputed per-neighbor send plan (side, neighbor index,
-        #: opposite side, wire bytes): plain data computed once instead
-        #: of a proxy walk + ghost_bytes call per send per step.
-        self._ghost_plan = [
-            (side, nbr, OPPOSITE[side], decomp.ghost_bytes(side) + 64)
-            for side, nbr in self.neighbors.items()
-        ]
+        self._charges = charges
+        #: (side, neighbor ChareID, opposite side, wire bytes) per
+        #: neighbor, built by :meth:`start`: the collection id is bound
+        #: after construction, and construction is set-up time, paid by
+        #: every block before the run starts.
+        self._ghost_plan: List[Tuple[str, ChareID, str, int]] = []
 
         h, w = decomp.block_rows, decomp.block_cols
         if config.payload == "real":
@@ -156,6 +183,12 @@ class StencilBlock(Chare):
         if self.config.steps == 0:
             self._finish()
             return
+        collection = self._id.collection
+        self._ghost_plan = [
+            (side, ChareID(collection, nbr), OPPOSITE[side],
+             self.decomp.ghost_bytes(side) + 64)
+            for side, nbr in self.neighbors.items()
+        ]
         self._send_ghosts()
         self._drain_ready_steps()
 
@@ -167,8 +200,7 @@ class StencilBlock(Chare):
             raise ConfigurationError(
                 f"block ({self.bi},{self.bj}) got duplicate ghost {key}")
         self._ghost_buf[key] = vec
-        self.charge(self.config.costs.ghost_cost(
-            self.decomp.ghost_bytes(side)))
+        self.charge(self._charges.ghost[side])
         self._drain_ready_steps()
 
     # -- the per-step pipeline -------------------------------------------------------
@@ -176,8 +208,12 @@ class StencilBlock(Chare):
     def _ready(self) -> bool:
         if self._finished or not self._started:
             return False
-        return all((self.step, side) in self._ghost_buf
-                   for side in self.neighbors)
+        step = self.step
+        buf = self._ghost_buf
+        for side in self.neighbors:
+            if (step, side) not in buf:
+                return False
+        return True
 
     def _drain_ready_steps(self) -> None:
         """Advance as many steps as buffered ghosts permit (usually one)."""
@@ -200,8 +236,7 @@ class StencilBlock(Chare):
                 jacobi_step_into(self.u, self._scratch)
                 self.u[1:-1, 1:-1] = self._scratch
             self._reapply_fixed_boundary()
-        self.charge(cfg.costs.compute_cost(
-            self.decomp.block_rows, self.decomp.block_cols))
+        self.charge(self._charges.compute)
 
         self.step += 1
         self.completed_at.append(self.now)
@@ -220,9 +255,7 @@ class StencilBlock(Chare):
         else:
             self.u[1:-1, -1] = vec
 
-    def _boundary(self, side: str) -> Optional[np.ndarray]:
-        if self.config.payload != "real":
-            return None
+    def _boundary(self, side: str) -> np.ndarray:
         interior = self.u[1:-1, 1:-1]
         if side == "north":
             return interior[0, :].copy()
@@ -239,16 +272,17 @@ class StencilBlock(Chare):
         precomputed plan — equivalent to
         ``self.thisProxy[nbr].ghost(...)`` per neighbor, minus the
         per-send proxy/BoundEntry allocations on the hottest app loop.
+        Modeled payloads carry no vector.
         """
         rts = self._require_rts()
-        collection = self._id.collection
         step = self.step
-        self.charge(self.config.costs.send_cost(len(self.neighbors)))
+        self.charge(self._charges.send[len(self._ghost_plan)])
         tag = f"ghost s{step}"
-        for side, nbr, opposite, size in self._ghost_plan:
-            rts.send(ChareID(collection, nbr), "ghost",
-                     (step, opposite, self._boundary(side)), {},
-                     size=size, tag=tag)
+        real = self.config.payload == "real"
+        for side, nbr_id, opposite, size in self._ghost_plan:
+            rts.send(nbr_id, "ghost",
+                     (step, opposite, self._boundary(side) if real else None),
+                     {}, size=size, tag=tag)
 
     # -- completion -------------------------------------------------------------------
 

@@ -17,7 +17,11 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.apps.stencil.chares import StencilBlock, StencilRunConfig
+from repro.apps.stencil.chares import (
+    StencilBlock,
+    StencilCharges,
+    StencilRunConfig,
+)
 from repro.apps.stencil.costs import StencilCostModel
 from repro.apps.stencil.decomposition import BlockDecomposition
 from repro.apps.stencil.kernel import make_initial_mesh
@@ -138,6 +142,7 @@ class StencilApp:
 
         decomp = self.decomp
         targets = (self._on_times, self._on_checksum, self._on_mesh)
+        charges = StencilCharges.of(config.costs, decomp)
 
         def args_of(idx):
             bi, bj = idx
@@ -145,7 +150,8 @@ class StencilApp:
             if initial is not None:
                 rs, cs = decomp.interior_slices(bi, bj)
                 block_init = initial[rs, cs].copy()
-            return ((bi, bj, decomp, config, block_init, targets), {})
+            return ((bi, bj, decomp, config, block_init, targets, charges),
+                    {})
 
         mapping = self.mapping
         if mapping is None:

@@ -73,8 +73,7 @@ def _dispatch_group(rts: "Runtime", collection: int, entry: str,
         args, kwargs, len(targets))
     rts._dispatch_payload(
         dst_pe=pe, payload=Bundle(invocations), size=wire,
-        priority=priority, tag=tag, entry_hint=entry,
-        collection_hint=collection, relay_hop=relay_hop)
+        priority=priority, tag=tag, relay_hop=relay_hop)
 
 
 def send_bundled(rts: "Runtime", collection: int, entry: str,
@@ -130,8 +129,7 @@ def _send_hierarchical(rts: "Runtime", collection: int, entry: str,
                              args=args, kwargs=kwargs,
                              groups=cluster_groups, size=size,
                              priority=priority, tag=tag, hop=1),
-            size=wire, priority=priority, tag=tag, entry_hint=entry,
-            collection_hint=collection, relay_hop=1)
+            size=wire, priority=priority, tag=tag, relay_hop=1)
 
 
 def process_relay(rts: "Runtime", pe: int, relay: RelayMsg) -> None:
@@ -169,7 +167,6 @@ def process_relay(rts: "Runtime", pe: int, relay: RelayMsg) -> None:
                              size=relay.size, priority=relay.priority,
                              tag=relay.tag, hop=relay.hop + 1),
             size=wire, priority=relay.priority, tag=relay.tag,
-            entry_hint=relay.entry, collection_hint=relay.collection,
             relay_hop=relay.hop + 1)
 
 

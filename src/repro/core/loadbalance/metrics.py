@@ -41,7 +41,10 @@ class LBDatabase:
                     size_bytes: int, crossed_wan: bool) -> None:
         if src is None:
             return  # driver-originated traffic is not a chare's doing
-        rec = self.comm.setdefault((src, dst), CommRecord())
+        key = (src, dst)
+        rec = self.comm.get(key)
+        if rec is None:
+            rec = self.comm[key] = CommRecord()
         rec.messages += 1
         rec.bytes += size_bytes
         if crossed_wan:

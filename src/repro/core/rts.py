@@ -302,14 +302,17 @@ class Runtime:
              size: Optional[int] = None, priority: Optional[int] = None,
              tag: Optional[str] = None) -> None:
         """Asynchronously invoke ``target.entry(*args, **kwargs)``."""
-        dst_pe = self.pe_of(target)
+        try:
+            dst_pe = self._collections[target.collection].mapping[
+                target.index]
+        except KeyError:
+            # Unknown chare: the accessor raises its UnknownChareError.
+            dst_pe = self.pe_of(target)
         if priority is None:
             priority = self._default_priority(target, entry, dst_pe)
         wire = size if size is not None else invocation_bytes(args, kwargs)
-        self._dispatch_payload(
-            dst_pe=dst_pe, payload=Invocation(target, entry, args, kwargs),
-            size=wire, priority=priority, tag=tag or entry,
-            dst_chare=target)
+        self._dispatch_payload(dst_pe, Invocation(target, entry, args, kwargs),
+                               wire, priority, tag or entry, target)
 
     def broadcast(self, collection: int, entry: str, args: tuple,
                   kwargs: dict, size: Optional[int] = None,
@@ -363,21 +366,22 @@ class Runtime:
     def _dispatch_payload(self, dst_pe: int, payload: Any, size: int,
                           priority: Optional[int], tag: str,
                           dst_chare: Optional[ChareID] = None,
-                          entry_hint: Optional[str] = None,
-                          collection_hint: Optional[int] = None,
                           src_pe: Optional[int] = None,
                           relay_hop: int = 0) -> None:
         """Common exit point for every runtime-generated message."""
-        ctx = self.scheduler.current_context
-        origin = src_pe if src_pe is not None else self._originating_pe()
-        msg = Message(
-            src_pe=origin, dst_pe=dst_pe, size_bytes=size, payload=payload,
-            priority=priority if priority is not None else DEFAULT_PRIORITY,
-            tag=tag)
+        ctx = self.scheduler._current
+        if src_pe is not None:
+            origin = src_pe
+        elif ctx is not None:
+            origin = ctx.pe
+        else:
+            origin = self.config.driver_pe
+        msg = Message(origin, dst_pe, size, payload,
+                      DEFAULT_PRIORITY if priority is None else priority, tag)
         if relay_hop:
             msg.relay_hop = relay_hop
-        tracer = self.tracer
-        if tracer is not None:
+        fabric = self.fabric
+        if fabric.tracer is not None:
             # Object attribution for the trace sinks.  Labels are stamped
             # only when tracing is on, so the obs-off hot path is
             # byte-for-byte the seed's (two None slot writes aside).
@@ -385,21 +389,21 @@ class Runtime:
                 msg.src_obj = self._obj_label(ctx.chare_id)
             if dst_chare is not None:
                 msg.dst_obj = self._obj_label(dst_chare)
-        if (self.config.collect_lb_stats and ctx is not None
-                and ctx.chare_id is not None and dst_chare is not None):
+        if ctx is None:
+            fabric.send(msg, self.scheduler.deliver)
+            return
+        if (ctx.chare_id is not None and dst_chare is not None
+                and self.config.collect_lb_stats):
             self.lb_db.record_send(
                 ctx.chare_id, dst_chare, size,
-                self.topology.crosses_wan(origin, dst_pe))
-        if ctx is not None:
-            # Run-to-completion: depart when the current entry finishes.
-            ctx.outbox.append(msg)
-        else:
-            self.fabric.send(msg, self.scheduler.deliver)
+                fabric.topology.crosses_wan(origin, dst_pe))
+        # Run-to-completion: depart when the current entry finishes.
+        ctx.outbox.append(msg)
 
     # -- execution-time services (called via Chare helpers) ------------------------
 
     def charge(self, seconds: float) -> None:
-        ctx = self.scheduler.current_context
+        ctx = self.scheduler._current
         if ctx is None:
             raise RuntimeSystemError("charge() outside an entry method")
         if seconds < 0:

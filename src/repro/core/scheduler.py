@@ -65,6 +65,11 @@ class Scheduler:
 
     def __init__(self, rts: "Runtime") -> None:
         self._rts = rts
+        #: The runtime's engine and fabric, read directly on the
+        #: per-message path (``_now`` and ``tracer``) instead of through
+        #: the runtime's accessors.
+        self._engine = rts.engine
+        self._fabric = rts.fabric
         self._pes: List[PeState] = [
             PeState(pe, prioritized=rts.config.prioritized_queues)
             for pe in rts.topology.pes()
@@ -99,9 +104,13 @@ class Scheduler:
     # -- delivery (fabric callback) ---------------------------------------------
 
     def deliver(self, msg: Message) -> None:
-        """A message arrived at its destination PE's queue."""
+        """A message arrived at its destination PE's queue.
+
+        An idle PE pops and executes the next queued message at once.
+        """
         ps = self._pes[msg.dst_pe]
         payload = msg.payload
+        queue = ps.queue
         if isinstance(payload, Bundle):
             # Expand per-PE bundles into individual executions; the
             # shared payload already paid its wire cost once.
@@ -115,37 +124,34 @@ class Scheduler:
                               seq=msg.seq, cause=msg.cause)
                 sub.crossed_wan = msg.crossed_wan
                 sub.sent_at = msg.sent_at
-                ps.queue.push(sub)
+                queue.push(sub)
                 ps.stats.messages_received += 1
+            if ps.busy or not queue:
+                return
         else:
-            ps.queue.push(msg)
+            queue.push(msg)
             ps.stats.messages_received += 1
-        if ps.idle:
-            self._dispatch(ps)
+            if ps.busy:
+                return
+        self._execute(ps, queue.pop())
 
     def push_local(self, pe: int, msg: Message) -> None:
         """Re-queue a buffered message locally (post-migration flush)."""
         ps = self._pes[pe]
         ps.queue.push(msg)
-        if ps.idle:
-            self._dispatch(ps)
+        if not ps.busy:
+            self._execute(ps, ps.queue.pop())
 
     # -- the scheduling loop ---------------------------------------------------
 
-    def _dispatch(self, ps: PeState) -> None:
-        """Start executing the next queued message on an idle PE."""
-        if ps.busy or not ps.queue:
-            return
-        msg = ps.queue.pop()
-        self._execute(ps, msg)
-
     def _execute(self, ps: PeState, msg: Message) -> None:
+        """Run *msg* on the idle PE *ps*; its busy interval ends in
+        :meth:`_finish`."""
         rts = self._rts
-        engine = rts.engine
-        t0 = engine.now
-        ctx = ExecutionContext(pe=ps.pe)
-        tracing = rts.tracer is not None
-        if tracing:
+        t0 = self._engine._now
+        ctx = ExecutionContext(ps.pe)
+        tracer = self._fabric.tracer
+        if tracer is not None:
             ctx.exec_id = self._next_exec_id
             self._next_exec_id += 1
         if self._current is not None:
@@ -187,36 +193,44 @@ class Scheduler:
             self._current = None
 
         total = rts.config.scheduler_overhead + static_cost + ctx.charged
-        if tracing:
+        if tracer is not None:
             # Object label: set only for entry methods that actually ran
             # on a chare here (ctx.chare_id is filled by _run_invocation);
             # runtime-internal work (<rts>, <driver>) stays unattributed.
             obj = (rts._obj_label(ctx.chare_id)
                    if ctx.chare_id is not None else None)
-            rts.tracer.begin_execute(ps.pe, t0, label_chare, label_entry,
-                                     sid=ctx.exec_id, parent=msg.cause,
-                                     trigger=msg.seq, obj=obj)
-        engine.post(t0 + total, self._finish, args=(ps, ctx, total))
+            tracer.begin_execute(ps.pe, t0, label_chare, label_entry,
+                                 sid=ctx.exec_id, parent=msg.cause,
+                                 trigger=msg.seq, obj=obj)
+        self._engine.post(t0 + total, self._finish, args=(ps, ctx, total))
 
     def _run_invocation(self, ps: PeState, ctx: ExecutionContext,
                         msg: Message, inv: Invocation):
         """Run a user entry method; returns (static_cost, labels...)."""
         rts = self._rts
         target = inv.target
-        current_pe = rts.pe_of(target)
+        try:
+            coll = rts._collections[target.collection]
+            current_pe = coll.mapping[target.index]
+        except KeyError:
+            # Unknown chare: the accessor raises its UnknownChareError.
+            current_pe = rts.pe_of(target)
         if current_pe != ps.pe:
             # The chare moved after this message was sent: forward it,
             # charging this PE the forwarding overhead.
             rts._forward(ps.pe, current_pe, msg)
             return rts.config.forward_overhead, "<rts>", "forward"
 
-        chare = rts.chare_object(target)
+        chare = coll.objects[target.index]
         if chare is None:
             # Chare is migrating here but has not arrived yet.
             rts._buffer_until_arrival(target, msg)
             return 0.0, "<rts>", "await-migration"
 
-        ctx.chare_id = target
+        # The chare's own id: equal to *target*, and the same object on
+        # every execution, so the load database's dicts match it by
+        # identity instead of calling ChareID.__eq__.
+        ctx.chare_id = chare._id
         cls = type(chare)
         cached = self._entry_cache.get((cls, inv.entry))
         if cached is None:
@@ -247,28 +261,36 @@ class Scheduler:
     def _finish(self, ps: PeState, ctx: ExecutionContext,
                 total: float) -> None:
         rts = self._rts
-        now = rts.engine.now
-        if rts.tracer is not None:
-            rts.tracer.end_execute(ps.pe, now)
-        ps.stats.executions += 1
-        ps.stats.busy_time += total
+        now = self._engine._now
+        tracer = self._fabric.tracer
+        if tracer is not None:
+            tracer.end_execute(ps.pe, now)
+        stats = ps.stats
+        stats.executions += 1
+        stats.busy_time += total
         if ctx.chare_id is not None and rts.config.collect_lb_stats:
             rts.lb_db.record_execution(ctx.chare_id, total)
 
         # Release messages produced by the execution: they depart *now*,
         # at the end of the busy interval (run-to-completion semantics).
-        for out in ctx.outbox:
-            ps.stats.messages_sent += 1
-            out.cause = ctx.exec_id
-            rts.fabric.send(out, self.deliver)
+        if ctx.outbox:
+            send = self._fabric.send
+            deliver = self.deliver
+            cause = ctx.exec_id
+            for out in ctx.outbox:
+                stats.messages_sent += 1
+                out.cause = cause
+                send(out, deliver)
 
         ps.busy = False
-        ps.stats.last_idle_at = now
+        stats.last_idle_at = now
 
         if ctx.migration_request is not None:
             chare_id, new_pe = ctx.migration_request
             rts.migrate(chare_id, new_pe)
 
-        self._dispatch(ps)
-        if ps.idle:
+        queue = ps.queue
+        if queue:
+            self._execute(ps, queue.pop())
+        elif rts._quiescence_cbs:
             rts._maybe_quiescent()

@@ -7,14 +7,21 @@ dispatch rule from paper §2.2 ("each driver on the chain examines the
 message to determine whether that driver should deliver the message or
 whether it should simply send the message to the next device").
 
-Chains are built once per environment; see :mod:`repro.grid.presets` for
-the two configurations used in the paper's experiments.
+Chains are built once per environment and never change afterwards; see
+:mod:`repro.grid.presets` for the configurations used in the paper's
+experiments.  When every device a walk touches is *pair-static* (see
+:attr:`~repro.network.devices.ChainDevice.pair_static`), the
+:class:`Route` it returns holds for every message between that PE pair,
+and :class:`~repro.network.fabric.NetworkFabric` keeps it in its route
+table instead of walking again.  :func:`filter_spans` turns a route's
+delay-adding filters into hop-ledger spans for one send, so a walked
+route and a table hit stamp the same spans.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,10 +42,37 @@ class Route:
     transport: TransportDevice
     #: Total delay added by filter devices before transport starts.
     pre_transport_delay: float
+    #: ``(device, added_delay)`` of every device that added delay, in
+    #: chain order (the input of :func:`filter_spans`).
+    filters: Tuple[Tuple[ChainDevice, float], ...] = ()
+    #: Every device the walk touched is pair-static: this route holds
+    #: for every message between the same (src, dst) PE pair.
+    pair_static: bool = False
     #: A fault device decided the message is lost: no delivery happens.
     dropped: bool = False
     #: Extra wire copies injected by fault devices (0 = just the original).
     duplicates: int = 0
+
+
+def filter_spans(filters: Sequence[Tuple[ChainDevice, float]],
+                 now: float) -> List[HopSpan]:
+    """One :class:`~repro.network.hops.HopSpan` per delay-adding filter.
+
+    *filters* is a route's :attr:`Route.filters` and *now* the send
+    instant.  The spans telescope: each starts where the previous one
+    ended (``now + before``, with ``before`` summed from 0.0) and ends at
+    ``now + (before + added)``, so the last one ends at
+    ``now + pre_transport_delay`` exactly.
+    """
+    spans = []
+    before = 0.0
+    for dev, added in filters:
+        start = now + before
+        spans.append(HopSpan(device=dev.name, link=dev.name,
+                             kind=dev.hop_kind, enqueue=start,
+                             dequeue=start, arrive=now + (before + added)))
+        before += added
+    return spans
 
 
 class DeviceChain:
@@ -60,42 +94,14 @@ class DeviceChain:
     def devices(self) -> List[ChainDevice]:
         return list(self._devices)
 
-    def insert_before_transport(self, device: ChainDevice) -> None:
-        """Insert a filter device immediately before the first transport.
-
-        This is how the paper wires its delay device: "send and receive
-        chains that consist of two network drivers with a 'delay device
-        driver' in between".
-
-        Raises
-        ------
-        RoutingError
-            If the chain has no transport device: appending the filter
-            at the end would leave it after every possible claim point,
-            i.e. unreachable dead code.
-        """
-        for i, dev in enumerate(self._devices):
-            if isinstance(dev, TransportDevice):
-                self._devices.insert(i, device)
-                return
-        raise RoutingError(
-            f"cannot insert {device.name!r}: chain has no transport "
-            f"device (devices: {[d.name for d in self._devices]})")
-
     def resolve(self, msg: Message, topo: GridTopology,
                 rng: Optional[np.random.Generator] = None, *,
-                record: bool = True, now: float = 0.0,
-                ledger: Optional[List[HopSpan]] = None) -> Route:
+                record: bool = True) -> Route:
         """Walk the chain until a transport claims *msg*.
 
         ``record=False`` resolves a model-only probe: no device statistics
         are updated and fault devices behave as pure pass-throughs (see
         :meth:`~repro.network.fabric.NetworkFabric.one_way_time`).
-
-        When a *ledger* is supplied, every filter device that adds delay
-        stamps one :class:`~repro.network.hops.HopSpan` on it, anchored
-        at *now* (the send instant); the spans telescope so the last
-        span's ``arrive`` equals ``now + pre_transport_delay`` exactly.
 
         Raises
         ------
@@ -106,13 +112,13 @@ class DeviceChain:
         current = msg
         dropped = False
         duplicates = 0
+        pair_static = True
+        filters = []
         for dev in self._devices:
             result = dev.process(current, topo, rng, record=record)
-            if result.added_delay and ledger is not None:
-                ledger.append(HopSpan(
-                    device=dev.name, link=dev.name, kind=dev.hop_kind,
-                    enqueue=now + delay, dequeue=now + delay,
-                    arrive=now + (delay + result.added_delay)))
+            pair_static = pair_static and dev.pair_static
+            if result.added_delay:
+                filters.append((dev, result.added_delay))
             delay += result.added_delay
             current = result.message
             dropped = dropped or result.dropped
@@ -124,6 +130,8 @@ class DeviceChain:
                         "a transport device")
                 return Route(message=current, transport=dev,
                              pre_transport_delay=delay,
+                             filters=tuple(filters),
+                             pair_static=pair_static,
                              dropped=dropped, duplicates=duplicates)
         raise RoutingError(
             f"no device in chain claims PE {msg.src_pe} -> PE {msg.dst_pe} "

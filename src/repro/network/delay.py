@@ -14,6 +14,14 @@ predicate (by default: the pair crosses a cluster boundary).  Placing it
 the paper's artificial-latency environment.  The paper's "arbitrary
 latencies ... between any pair of nodes" is a custom ``applies_to``
 predicate, or one device per delay value.
+
+The device is pair-static
+(:attr:`~repro.network.devices.ChainDevice.pair_static`): whether and
+how long it delays depends only on the (src, dst) pair, so the fabric
+walks it once per pair and replays the delay from its route table.
+An ``applies_to`` predicate must therefore be a function of the pair
+and the topology alone.  The device keeps no statistics; the fabric's
+``filter_delay_total`` and the WAN message counts cover what it did.
 """
 
 from __future__ import annotations
@@ -51,6 +59,8 @@ class DelayDevice(ChainDevice):
 
     #: Injected latency is modeled propagation, not queueing.
     hop_kind = "propagation"
+    #: The delay is a function of the (src, dst) pair alone.
+    pair_static = True
 
     def __init__(self, delay: float,
                  applies_to: PairPredicate = cross_cluster_pairs,
@@ -60,20 +70,13 @@ class DelayDevice(ChainDevice):
         self.delay = delay
         self.applies_to = applies_to
         self.name = name
-        #: Statistics: how many messages were delayed.
-        self.messages_delayed = 0
 
     def process(self, msg: Message, topo: GridTopology,
                 rng: Optional[np.random.Generator], *,
                 record: bool = True) -> ProcessResult:
         if self.delay > 0 and self.applies_to(msg.src_pe, msg.dst_pe, topo):
-            if record:
-                self.messages_delayed += 1
             return ProcessResult(message=msg, added_delay=self.delay)
         return ProcessResult(message=msg)
-
-    def reset_stats(self) -> None:
-        self.messages_delayed = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"DelayDevice(delay={self.delay!r})"

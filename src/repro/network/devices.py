@@ -11,6 +11,13 @@ Every driver here implements :class:`ChainDevice`.  Transport devices
 the chain when their reachability predicate matches the (src, dst) pair;
 filter devices (see :mod:`repro.network.delay` and
 :mod:`repro.network.transform`) never terminate it.
+
+A device class declares :attr:`ChainDevice.pair_static` when its
+``process`` answer depends on the (src, dst) pair alone.  Transport
+devices do (their ``process`` is ``reaches``), so the fabric resolves a
+pair whose walk touches only such devices once and reuses the route;
+``transit`` still runs for every message, so jitter and contention are
+unaffected.
 """
 
 from __future__ import annotations
@@ -71,6 +78,13 @@ class ChainDevice:
     #: Hop-ledger kind stamped for this device's added delay (filter
     #: devices only; delay devices override with ``"propagation"``).
     hop_kind: str = "device_queue"
+    #: ``process`` depends only on the (src, dst) PE pair: it draws no
+    #: randomness, ignores the message size, keeps no state and counts
+    #: nothing, so one walk per pair stands for every later message
+    #: (:class:`~repro.network.fabric.NetworkFabric` keeps such routes
+    #: in its route table).  Devices that drop, duplicate, transform or
+    #: count messages leave it ``False``.
+    pair_static: bool = False
 
     def process(self, msg: Message, topo: GridTopology,
                 rng: Optional[np.random.Generator], *,
@@ -108,6 +122,9 @@ class TransportDevice(ChainDevice):
         Optional contention model; when present, the message's
         serialization time is serialized FIFO per direction.
     """
+
+    #: Claiming is ``reaches``, a function of the pair alone.
+    pair_static = True
 
     def __init__(self, link: LinkModel, pipe: Optional[PipePair] = None) -> None:
         self.link = link

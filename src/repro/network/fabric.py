@@ -5,6 +5,17 @@ a message between processors.  It resolves the message against the VMI
 send chain, charges filter + transport time (including any contention
 queueing), and posts a delivery event on the simulation engine.
 
+Per-pair routes: a walk whose devices are all pair-static (see
+:attr:`~repro.network.devices.ChainDevice.pair_static`) gives the same
+answer for every message between that (src, dst) PE pair, so the fabric
+keeps it in a route table filled lazily on the pair's first send.  A
+hit skips the chain walk; the transport's ``transit`` (jitter,
+contention) still runs for every message, and the filter hop spans are
+rebuilt with :func:`~repro.network.chain.filter_spans`, the helper a
+walked route uses too.  Pairs whose walk reaches a fault or compression
+device are walked for every message.  The chain and topology never
+change after construction, so the table never goes stale.
+
 Delivery invokes a callback rather than touching PE queues directly so the
 network layer stays ignorant of the runtime layer above it.
 """
@@ -13,17 +24,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.network.chain import DeviceChain
+from repro.network.chain import DeviceChain, filter_spans
+from repro.network.devices import ChainDevice, TransportDevice
 from repro.network.message import Message
 from repro.network.topology import GridTopology
 from repro.sim.engine import Engine
 from repro.sim.trace import TraceAggregator
 
 DeliverFn = Callable[[Message], None]
+
+#: A route-table entry: the claiming transport, the pre-transport delay,
+#: the delay-adding filters (:attr:`~repro.network.chain.Route.filters`)
+#: and whether the pair crosses the wide area.
+PairRoute = Tuple[TransportDevice, float,
+                  Tuple[Tuple[ChainDevice, float], ...], bool]
 
 
 @dataclass
@@ -127,6 +145,9 @@ class NetworkFabric:
         #: Cumulative cross-WAN wire copies put on the wire (denominator
         #: for the sampler's retransmit-rate series).
         self.wan_sent = 0
+        #: ``(src_pe, dst_pe) -> PairRoute`` for pairs whose chain walk
+        #: touched only pair-static devices; filled on first send.
+        self._routes: Dict[Tuple[int, int], PairRoute] = {}
 
     def send(self, msg: Message, deliver: DeliverFn) -> float:
         """Dispatch *msg*; *deliver* runs at the computed arrival time.
@@ -145,33 +166,48 @@ class NetworkFabric:
             # through, so declared sizes are validated once here instead
             # of in the per-message ``Message.__init__`` hot path.
             raise ValueError(f"negative message size {msg.size_bytes}")
-        now = self.engine.now
+        now = self.engine._now
         msg.sent_at = now
-        crossed_wan = self.topology.crosses_wan(msg.src_pe, msg.dst_pe)
-        msg.crossed_wan = crossed_wan
+        key = (msg.src_pe, msg.dst_pe)
+        pair_route = self._routes.get(key)
+        if pair_route is not None:
+            transport, before, filters, crossed_wan = pair_route
+            msg.crossed_wan = crossed_wan
+            wire_msg = msg
+            dropped = False
+            duplicates = 0
+        else:
+            crossed_wan = self.topology.crosses_wan(msg.src_pe, msg.dst_pe)
+            msg.crossed_wan = crossed_wan
+            route = self.chain.resolve(msg, self.topology, self.rng)
+            transport = route.transport
+            before = route.pre_transport_delay
+            filters = route.filters
+            if route.pair_static:
+                self._routes[key] = (transport, before, filters,
+                                     crossed_wan)
+            wire_msg = route.message
+            dropped = route.dropped
+            duplicates = route.duplicates
 
         tracer = self.tracer
         # Flight recorder: collect per-device hop spans only when a
-        # recorder is attached.  With tracing off this send takes the
-        # exact code path (and float expressions) of the seed, so
-        # virtual-time results are bit-identical with observability
-        # disabled.
-        want_hops = tracer is not None
-        ledger: Optional[list] = [] if want_hops else None
-        route = self.chain.resolve(msg, self.topology, self.rng,
-                                   now=now, ledger=ledger)
-        wire_msg = route.message
-
+        # recorder is attached.  The spans are computed beside the
+        # arrival arithmetic, never feed it, so virtual-time results are
+        # bit-identical with observability disabled.
         if tracer is not None:
+            ledger: Optional[list] = filter_spans(filters, now)
             tracer.message_sent(now, msg.src_pe, msg.dst_pe,
                                 wire_msg.size_bytes, msg.tag,
                                 crossed_wan, seq=msg.seq,
                                 cause=msg.cause, ack_for=msg.ack_for,
                                 src_obj=msg.src_obj, dst_obj=msg.dst_obj,
                                 arq_attempt=msg.arq_attempt)
+        else:
+            ledger = None
 
-        if route.dropped:
-            self.stats.record_drop(route.transport.name)
+        if dropped:
+            self.stats.record_drop(transport.name)
             if tracer is not None:
                 tracer.message_dropped(now, msg.src_pe, msg.dst_pe,
                                        wire_msg.size_bytes, msg.tag,
@@ -182,23 +218,22 @@ class NetworkFabric:
                                        dst_obj=msg.dst_obj)
             return math.inf
 
-        if route.duplicates:
-            self.stats.record_duplicates(route.transport.name,
-                                         route.duplicates)
+        if duplicates:
+            self.stats.record_duplicates(transport.name, duplicates)
 
         engine = self.engine
         stats = self.stats
-        transport_start = now + route.pre_transport_delay
+        transport_start = now + before
         first_arrival = math.inf
-        for _copy in range(1 + route.duplicates):
-            if want_hops:
-                copy_ledger: list = list(ledger)
-                transit = route.transport.transit(
+        for _copy in range(1 + duplicates):
+            if ledger is not None:
+                copy_ledger: Optional[list] = list(ledger)
+                transit = transport.transit(
                     wire_msg, self.topology, transport_start, self.rng,
                     ledger=copy_ledger)
             else:
                 copy_ledger = None
-                transit = route.transport.transit(
+                transit = transport.transit(
                     wire_msg, self.topology, transport_start, self.rng)
             arrival = transport_start + transit
             if arrival < first_arrival:
@@ -213,8 +248,7 @@ class NetworkFabric:
                     msg.tag, crossed_wan, msg.seq, arrival,
                     tuple(copy_ledger), relay_hop=msg.relay_hop,
                     arq_attempt=msg.arq_attempt)
-            stats.record(route.transport.name, wire_msg.size_bytes,
-                         route.pre_transport_delay)
+            stats.record(transport.name, wire_msg.size_bytes, before)
             self.in_flight += 1
             if crossed_wan:
                 self.wan_in_flight += 1
@@ -253,13 +287,17 @@ class NetworkFabric:
 
     def _deliver_plain(self, msg: Message, deliver: DeliverFn) -> None:
         """Fire one wire copy's arrival (tracing off)."""
-        self._land(msg)
+        self.in_flight -= 1
+        if msg.crossed_wan:
+            self.wan_in_flight -= 1
         deliver(msg)
 
     def _deliver_traced(self, msg: Message, arrival: float,
                         wire_bytes: int, deliver: DeliverFn) -> None:
         """Fire one wire copy's arrival, recording the delivery event."""
-        self._land(msg)
+        self.in_flight -= 1
+        if msg.crossed_wan:
+            self.wan_in_flight -= 1
         self.tracer.message_delivered(arrival, msg.src_pe, msg.dst_pe,
                                       wire_bytes, msg.tag,
                                       msg.crossed_wan, seq=msg.seq,
@@ -268,12 +306,6 @@ class NetworkFabric:
                                       src_obj=msg.src_obj,
                                       dst_obj=msg.dst_obj)
         deliver(msg)
-
-    def _land(self, msg: Message) -> None:
-        """Book-keep one wire copy leaving the wire (delivery instant)."""
-        self.in_flight -= 1
-        if msg.crossed_wan:
-            self.wan_in_flight -= 1
 
     def one_way_time(self, src_pe: int, dst_pe: int, size_bytes: int) -> float:
         """Model-only query: transit time for a hypothetical message.

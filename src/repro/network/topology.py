@@ -174,7 +174,14 @@ class GridTopology:
 
     def crosses_wan(self, pe_a: int, pe_b: int) -> bool:
         """Would a message between these PEs traverse the wide area?"""
-        return not self.same_cluster(pe_a, pe_b)
+        # Asked once per runtime send (the load database's WAN count),
+        # so the common case reads the cluster map directly.
+        clusters = self._pe_to_cluster
+        try:
+            return clusters[pe_a] != clusters[pe_b]
+        except KeyError:
+            # Unknown PE: cluster_of raises the TopologyError naming it.
+            return not self.same_cluster(pe_a, pe_b)
 
     def cluster_pes(self, cluster: int) -> Tuple[int, ...]:
         """All PE indices belonging to *cluster*."""

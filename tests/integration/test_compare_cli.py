@@ -7,8 +7,11 @@ bit-reproducible, so any non-neutral component on a self-compare is a
 bug in the attribution pipeline, not noise.
 """
 
+import importlib.util
 import io
 import json
+import pathlib
+import shutil
 
 import pytest
 
@@ -213,3 +216,45 @@ def test_compare_without_operands_runs_both_gates(ledger):
     assert doc["all_neutral"] is True
     assert doc["residual_s"] == 0.0
     assert doc["ratio"]["verdict"] == "neutral"
+
+
+def _load_schema_checker():
+    path = (pathlib.Path(__file__).parents[2]
+            / "benchmarks" / "check_schema.py")
+    spec = importlib.util.spec_from_file_location("check_schema", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_headline_only_compare_passes_schema_gate(tmp_path, monkeypatch):
+    """Records 1 and 2 of the committed file carry no critpath: their
+    headline-only document passes the gate, neutral ratio included."""
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "BENCH_critpath.json"
+    shutil.copy(pathlib.Path(__file__).parents[2] / "BENCH_critpath.json",
+                path)
+    code, text = run_cli(["compare", "1", "2", "--path", str(path),
+                          "--json"])
+    assert code == 0
+    doc = json.loads(text)
+    assert doc["components"] == []
+    checker = _load_schema_checker()
+    checker.check_compare(doc, require_neutral=True)
+
+    # The null totals are part of the shape, not optional.
+    broken = dict(doc, residual_s=0.0)
+    with pytest.raises(SystemExit, match="residual_s must be null"):
+        checker.check_compare(broken)
+    # all_neutral must follow the ratio verdict.
+    broken = dict(doc, all_neutral=False)
+    with pytest.raises(SystemExit, match="disagrees with ratio"):
+        checker.check_compare(broken)
+    # A regressed ratio passes the shape check but not --require-neutral.
+    regressed = json.loads(text)
+    regressed["candidate"]["time_per_step_s"] *= 2.0
+    regressed["ratio"].update(value=2.0, verdict="regressed")
+    regressed["all_neutral"] = False
+    checker.check_compare(regressed)
+    with pytest.raises(SystemExit, match="not neutral"):
+        checker.check_compare(regressed, require_neutral=True)

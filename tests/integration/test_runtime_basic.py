@@ -6,6 +6,7 @@ from repro.core.chare import Chare
 from repro.core.ids import ChareID
 from repro.core.mapping import RoundRobinMapping
 from repro.core.method import entry
+from repro.core.records import Invocation
 from repro.core.rts import RuntimeConfig
 from repro.errors import (
     ConfigurationError,
@@ -14,6 +15,7 @@ from repro.errors import (
     UnknownChareError,
 )
 from repro.grid.presets import artificial_latency_env, single_cluster_env
+from repro.network.message import Message
 from repro.units import ms
 
 from tests.conftest import make_recorder
@@ -178,6 +180,19 @@ def test_unknown_chare_rejected(env4):
     rts = env4.runtime
     with pytest.raises(UnknownChareError):
         rts.pe_of(ChareID(99, (0,)))
+    # The send path reads the location map directly; a miss still
+    # raises the accessor's error, for the collection and the index.
+    proxy = rts.create_array(Counter, [0, 1], RoundRobinMapping())
+    cid = proxy[0].chare_id.collection
+    with pytest.raises(UnknownChareError, match="unknown collection c99"):
+        rts.send(ChareID(99, (0,)), "add", (1,), {})
+    with pytest.raises(UnknownChareError, match="unknown chare"):
+        rts.send(ChareID(cid, (7,)), "add", (1,), {})
+    # So does the scheduler, for a message that reached an idle PE.
+    with pytest.raises(UnknownChareError, match="unknown chare"):
+        rts.scheduler.deliver(Message(
+            src_pe=0, dst_pe=1, size_bytes=0,
+            payload=Invocation(ChareID(cid, (7,)), "add", (1,), {})))
 
 
 def test_duplicate_indices_rejected(env4):
