@@ -7,19 +7,30 @@ paper's two qualitative claims:
 
 1. the near-horizontal region is longer for higher virtualization;
 2. past the knee, higher virtualization stays at-or-below lower
-   virtualization (it masks more of the latency).
+   virtualization (it masks more of the latency);
+
+and the latency-masking model that explains both,
+``T(L) = max(T0, L + T0/v)`` (:func:`repro.obs.critpath.masked_step_time`
+with T0 the curve's lowest-latency point and v its objects per PE):
+every knee equal to the measured one, every point within 8%.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.apps.stencil import StencilApp
 from repro.bench.executor import default_jobs, run_sweep
 from repro.bench.figures import knee_latency_ms, render_fig3_panel
-from repro.bench.records import group_series
+from repro.bench.records import Series, group_series
 from repro.bench.sweep import FIG3_PANEL_OBJECTS, specs_fig3
+from repro.obs.critpath import masked_step_time
 
 PANELS = sorted(FIG3_PANEL_OBJECTS)
+
+#: Largest |model - measured| / measured of any Figure-3 point (the
+#: worst measured, 7.6%, is 32 PEs x 1024 objects at 8 ms).
+MODEL_ERROR = 0.08
 
 #: Worker-pool width (REPRO_BENCH_JOBS, default serial).  Results are
 #: bit-identical for any value, so the assertions below are unaffected.
@@ -52,3 +63,16 @@ def test_fig3_panel(benchmark, pes):
     # Sanity: time/step grows (weakly) with latency for every series.
     for s in series:
         assert s.y[-1] >= s.y[0] * 0.95
+
+    # The latency-masking model predicts each curve from its first point.
+    for objects, s in zip(sorted(FIG3_PANEL_OBJECTS[pes]), series):
+        model = Series(s.label, list(s.x), [
+            masked_step_time(s.y[0], lat, objects / pes, StencilApp.WAN_LEGS)
+            for lat in s.x])
+        assert knee_latency_ms(model) == knee_latency_ms(s), (
+            f"{pes} PEs, {s.label}: model knee {knee_latency_ms(model)} ms "
+            f"vs measured {knee_latency_ms(s)} ms")
+        for lat, t, m in zip(s.x, s.y, model.y):
+            assert abs(m - t) <= MODEL_ERROR * t, (
+                f"{pes} PEs, {s.label} at {lat:g} ms: model {m:.3f} vs "
+                f"measured {t:.3f} ms/step")

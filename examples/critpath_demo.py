@@ -12,9 +12,11 @@ recipe) — and walks each run's causal critical path:
   paper's thesis, but read off the DAG rather than inferred from
   end-to-end times.
 
-Then the knee analyzer predicts the full time-vs-latency curve for the
-virtualized run from its single trace: the knee is where the predicted
-WAN share first becomes binding.
+Then the latency-masking model, T(L) = max(T0, L + T0/v), predicts the
+full time-vs-latency curve of the virtualized run from that same run:
+T0 is the busiest PE's work per step and v the objects per PE, and the
+knee is where one WAN latency plus a seam object's own work no longer
+fits inside the step.
 
 Run:  python examples/critpath_demo.py
 """
@@ -44,7 +46,7 @@ def traced_run(objects, latency_ms):
     result = app.run(STEPS)
     graph = CausalGraph.from_tracer(env.tracer)
     boundaries = [t0] + [t0 + float(t) for t in result.step_times]
-    return graph, boundaries, result
+    return env, graph, boundaries, result
 
 
 def main():
@@ -52,7 +54,7 @@ def main():
           f"{LATENCY_MS:g} ms one-way WAN\n")
 
     for objects in (PES, 16 * PES):
-        graph, boundaries, result = traced_run(objects, LATENCY_MS)
+        env, graph, boundaries, result = traced_run(objects, LATENCY_MS)
         steps = per_step_attribution(graph, boundaries)
         summary = summarize_attribution(steps, warmup=result.warmup)
         print(f"--- {objects} objects ({objects // PES}/PE): "
@@ -61,16 +63,18 @@ def main():
         print(f"WAN share of the critical path: "
               f"{summary['wan_flight_share']:.1%}\n")
 
-    print("Knee prediction from ONE traced 0-ms run (16 objects/PE):")
-    graph, boundaries, result = traced_run(16 * PES, 0.0)
-    knee = predict_knee(graph, boundaries, 0.0,
-                        [ms(x) for x in GRID_MS], warmup=result.warmup)
+    print(f"Knee prediction from the same {LATENCY_MS:g}-ms run "
+          f"(16 objects/PE), T(L) = max(T0, L + T0/v):")
+    knee = predict_knee(env.aggregator, result.steps, 16,
+                        StencilApp.WAN_LEGS, ms(LATENCY_MS),
+                        [ms(x) for x in GRID_MS])
     for lat, t in zip(knee.grid_s, knee.predicted_step_s):
         marker = "  <- knee" if lat == knee.knee_s else ""
         print(f"  L = {lat * 1e3:4g} ms  ->  predicted "
               f"{t * 1e3:7.2f} ms/step{marker}")
-    print(f"\nThe flat region ends where WAN edges join the critical "
-          f"path: predicted knee {knee.knee_s * 1e3:g} ms.")
+    print(f"\nThe flat region ends where one WAN latency plus a seam "
+          f"block's own work outgrows the step: predicted knee "
+          f"{knee.knee_s * 1e3:g} ms.")
 
 
 if __name__ == "__main__":

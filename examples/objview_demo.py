@@ -2,8 +2,8 @@
 """The object view end to end: profiles, matrix, blame, advice.
 
 Runs the paper's stencil *over-coarsely* — 16 objects on 8 PEs behind
-a 16 ms WAN, a decomposition the masking condition says is too coarse
-to hide that latency — then interrogates the run at object
+a 16 ms WAN, a decomposition the latency-masking model says is too
+coarse to hide that latency — then interrogates the run at object
 granularity:
 
 * the per-chare profile table (compute, grain quantiles, queue wait,
@@ -11,8 +11,8 @@ granularity:
 * per-object blame: each critical-path second charged to the chare
   that executed (or starved) it;
 * the decomposition advisor's verdict: the virtualization degree the
-  masking condition ``C*(1 - 1/v) >= L`` asks for, with ranked
-  split/merge/migrate suggestions.
+  latency-masking model asks for (the smallest v with L + C/v <= C),
+  with ranked split/merge/migrate suggestions.
 
 Optionally writes the Chrome trace (one lane per object) next to it.
 

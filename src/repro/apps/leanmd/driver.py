@@ -69,6 +69,11 @@ class LeanMDResult:
 class LeanMDApp:
     """The paper's molecular-dynamics experiment on one environment."""
 
+    #: WAN crossings on a step's critical cycle, the ``k`` of
+    #: :func:`~repro.obs.critpath.masked_step_time`: a seam cell's
+    #: coordinates cross to a pair and the forces cross back.
+    WAN_LEGS = 2
+
     def __init__(self, env: GridEnvironment,
                  cells: Tuple[int, int, int] = (6, 6, 6),
                  atoms_per_cell: int = 64, payload: str = "real",

@@ -91,6 +91,11 @@ class StencilApp:
         ``"percell"`` scalar reference; real payload only).
     """
 
+    #: WAN crossings on a step's critical cycle, the ``k`` of
+    #: :func:`~repro.obs.critpath.masked_step_time`: a seam block waits
+    #: for one ghost message from across the WAN.
+    WAN_LEGS = 1
+
     def __init__(self, env: GridEnvironment, mesh: Tuple[int, int] = (2048, 2048),
                  objects: int = 64, payload: str = "real",
                  costs: Optional[StencilCostModel] = None,

@@ -36,9 +36,10 @@ a ``FAILED`` line after the artefact, and the command exits 1.
 comm/compute, masked-latency fraction); ``critpath`` attributes each
 step's wall time along the causal critical path (compute / WAN
 in-flight / queueing / retransmit stall) and predicts the Figure-3
-knee from that single run; ``health`` runs with the fixed-memory
-telemetry sampler and rule-based watchdog and prints the health digest
-(sparklines and fired alerts); ``netview`` is the network flight
+knee from that single run with the latency-masking model; ``health``
+runs with the fixed-memory telemetry sampler and rule-based watchdog
+and prints the health digest (sparklines and fired alerts);
+``netview`` is the network flight
 recorder (per-link utilization, queue depths, top wire-time messages);
 ``objview`` is the Projections-style object view (per-chare profiles,
 the object×object communication matrix, per-object critical-path
@@ -178,9 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="rows listed per table (netview: top wire-time "
                           "messages; objview: objects)")
     ins.add_argument("--grid", nargs="+", type=float, default=None,
-                     metavar="MS", help="critpath: hypothetical one-way "
-                     "latencies to sweep in the what-if replay (default: "
-                     "Figure 3's)")
+                     metavar="MS", help="critpath: one-way latencies at "
+                     "which to evaluate the latency-masking model "
+                     "T(L) = max(T0, k*L + T0/v) (default: Figure 3's)")
     ins.add_argument("--tolerance", type=float, default=KNEE_TOLERANCE,
                      help="critpath knee tolerance: largest latency with "
                           "predicted T(L) <= tolerance x baseline "
@@ -349,9 +350,12 @@ def cmd_inspect(args, out) -> None:
         steps = per_step_attribution(graph, boundaries)
     if view == "critpath":
         grid_ms = args.grid if args.grid else list(FIG3_LATENCIES_MS)
-        knee = predict_knee(graph, boundaries, ms(args.latency),
+        runtime = env.runtime
+        knee = predict_knee(env.aggregator, result.steps,
+                            len(runtime.current_mapping()) / runtime.num_pes,
+                            app.WAN_LEGS, ms(args.latency),
                             [ms(x) for x in grid_ms],
-                            tolerance=args.tolerance, warmup=result.warmup)
+                            tolerance=args.tolerance)
         report.critpath = {**summarize_attribution(steps,
                                                    warmup=result.warmup),
                            "knee": knee.to_dict()}
@@ -425,6 +429,9 @@ def cmd_inspect(args, out) -> None:
         print(render_attribution(steps, warmup=result.warmup), file=out)
     if view == "critpath":
         print(file=out)
+        print(f"model T(L) = max(T0, k*L + T0/v): T0 = busiest PE's busy "
+              f"time per step, k = {knee.wan_legs} (WAN legs per step), "
+              f"v = {knee.objects_per_pe:g} (objects per PE)", file=out)
         pairs = "  ".join(
             f"{lat * 1e3:g}ms->{t * 1e3:.2f}"
             for lat, t in zip(knee.grid_s, knee.predicted_step_s))

@@ -80,10 +80,6 @@ class RuntimeConfig:
     prioritized_queues: bool = False
     #: §6 extension: auto-tag cross-cluster messages as high priority.
     expedite_wan: bool = False
-    #: PE on which driver-originated messages nominally originate.
-    driver_pe: int = 0
-    #: Record per-chare load / communication for load balancing.
-    collect_lb_stats: bool = True
 
     def __post_init__(self) -> None:
         for name in ("scheduler_overhead", "reduction_overhead",
@@ -139,9 +135,6 @@ class Runtime:
         self.engine = engine
         self.fabric = fabric
         self.config = config or RuntimeConfig()
-        if not (0 <= self.config.driver_pe < self.topology.num_pes):
-            raise ConfigurationError(
-                f"driver_pe {self.config.driver_pe} out of range")
         self.scheduler = Scheduler(self)
         self.reductions = ReductionManager(self)
         self.lb_db = LBDatabase()
@@ -348,7 +341,7 @@ class Runtime:
 
     def _originating_pe(self) -> int:
         ctx = self.scheduler.current_context
-        return ctx.pe if ctx is not None else self.config.driver_pe
+        return ctx.pe if ctx is not None else 0
 
     def _obj_label(self, chare_id: ChareID) -> str:
         """Memoized, location-independent trace label for a chare.
@@ -375,7 +368,7 @@ class Runtime:
         elif ctx is not None:
             origin = ctx.pe
         else:
-            origin = self.config.driver_pe
+            origin = 0  # driver-originated messages start on PE 0
         msg = Message(origin, dst_pe, size, payload,
                       DEFAULT_PRIORITY if priority is None else priority, tag)
         if relay_hop:
@@ -392,8 +385,7 @@ class Runtime:
         if ctx is None:
             fabric.send(msg, self.scheduler.deliver)
             return
-        if (ctx.chare_id is not None and dst_chare is not None
-                and self.config.collect_lb_stats):
+        if ctx.chare_id is not None and dst_chare is not None:
             self.lb_db.record_send(
                 ctx.chare_id, dst_chare, size,
                 fabric.topology.crosses_wan(origin, dst_pe))

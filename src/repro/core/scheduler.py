@@ -268,7 +268,7 @@ class Scheduler:
         stats = ps.stats
         stats.executions += 1
         stats.busy_time += total
-        if ctx.chare_id is not None and rts.config.collect_lb_stats:
+        if ctx.chare_id is not None:
             rts.lb_db.record_execution(ctx.chare_id, total)
 
         # Release messages produced by the execution: they depart *now*,

@@ -20,7 +20,8 @@ Projections-grade surface:
 * :mod:`repro.obs.critpath` — causal critical-path analysis: the step
   DAG, per-step latency attribution (compute / WAN flight / queueing /
   retransmit stall, summing exactly to the step's wall time), and the
-  knee analyzer predicting Figure 3's knee from one low-latency run;
+  latency-masking model ``T(L) = max(T0, k·L + T0/v)`` predicting the
+  Figure-3/4 knees from one run;
 * :mod:`repro.obs.timeseries` — fixed-memory virtual-time telemetry:
   ring-buffer :class:`TimeSeries` with 2x downsampling and the
   :class:`TelemetrySampler` daemon that feeds them during the run;
@@ -49,12 +50,12 @@ from repro.obs.critpath import (
     KneePrediction,
     PathSegment,
     StepAttribution,
+    masked_step_time,
     per_object_blame,
     per_step_attribution,
     predict_knee,
     render_attribution,
     render_blame,
-    replay_with_latency,
     summarize_attribution,
 )
 from repro.obs.export import (
@@ -119,12 +120,12 @@ __all__ = [
     "KneePrediction",
     "PathSegment",
     "StepAttribution",
+    "masked_step_time",
     "per_object_blame",
     "render_blame",
     "per_step_attribution",
     "predict_knee",
     "render_attribution",
-    "replay_with_latency",
     "summarize_attribution",
     "MetricsRegistry",
     "Advice",

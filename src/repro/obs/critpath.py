@@ -27,15 +27,15 @@ into that argument, quantitatively:
   ``queue_serial`` (local wire time, pre-transport serialization, and
   startup slack), with the invariant that the components sum to the
   measured step time.
-* the **knee analyzer** (:func:`replay_with_latency`,
-  :func:`predict_knee`): a what-if replay of the DAG that shifts every
-  WAN edge by a hypothetical latency delta while preserving the observed
-  per-PE execution order, predicting the Figure-3 step time T(L) — and
-  hence the knee — from a *single* low-latency run.
+* the **latency-masking model** (:func:`masked_step_time`,
+  :func:`predict_knee`): ``T(L) = max(T0, k·L + T0/v)``, the step time
+  of ``v`` objects per PE whose critical cycle crosses the WAN ``k``
+  times, which predicts the Figure-3/4 step time T(L) — and hence the
+  knee — from the per-PE busy time of a *single* run at any latency.
 
 cf. Eijkhout's task-graph latency-tolerance transformations (PAPERS.md)
-for the DAG view, and Charm++ Projections' critical-path module for the
-backward-walk idea.
+for the DAG view and the independent work that overlaps latency, and
+Charm++ Projections' critical-path module for the backward-walk idea.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.network.hops import HopLedger
-from repro.sim.trace import Tracer
+from repro.sim.trace import TraceAggregator, Tracer
 
 _SLOTS = {"slots": True} if sys.version_info >= (3, 10) else {}
 
@@ -313,8 +313,7 @@ class CausalGraph:
             for span in lst:
                 self._pe_pred[span.sid] = prev.sid if prev else None
                 prev = span
-        #: All spans sorted by (start, sid) — a valid topological order
-        #: (every edge ends at a strictly later start; see replay).
+        #: All spans sorted by (start, sid), for :meth:`terminal_span`.
         self.order: List[Span] = sorted(
             spans.values(), key=lambda s: (s.start, s.sid))
         self._starts = [s.start for s in self.order]
@@ -600,80 +599,24 @@ def render_blame(blame: Dict[str, Dict[str, float]],
     return "\n".join(lines)
 
 
-# -- the knee analyzer -----------------------------------------------------
+# -- the latency-masking model ---------------------------------------------
 
 
-def replay_with_latency(graph: CausalGraph,
-                        delta_s: float) -> Dict[int, float]:
-    """What-if replay: predicted span start times with WAN shifted.
+def masked_step_time(t0: float, latency: float, objects_per_pe: float,
+                     wan_legs: int = 1) -> float:
+    """Step time of the latency-masking model, ``T(L) = max(T0, k·L + T0/v)``.
 
-    Every WAN message edge's weight (parent end -> dependent start,
-    i.e. observed wire time including retransmit stalls) is shifted by
-    *delta_s*; local edges and compute durations are unchanged; the
-    observed per-PE execution order is preserved via the
-    run-to-completion chain.  Spans are processed in observed start
-    order, which is a valid topological order: every edge ends at a
-    strictly later observed start (durations are positive and
-    deliveries precede the starts they trigger).
+    *t0* is the step time without WAN latency, *latency* the one-way
+    WAN latency ``L``, *objects_per_pe* the chares per PE ``v`` and
+    *wan_legs* ``k``, the WAN crossings on a step's critical cycle (the
+    app's ``WAN_LEGS``: 1 for the stencil's ghost exchange, 2 for
+    LeanMD's cell -> pair -> cell round trip).  A seam object waits
+    ``k·L`` for its remote input and then does its own ``T0/v`` of work;
+    while that fits in the step, the other objects' independent work
+    hides the wait and the step costs ``T0``.  So ``T(L) = T0`` up to
+    ``L = T0·(1 − 1/v)/k``, and grows with slope ``k`` past it.
     """
-    new_start: Dict[int, float] = {}
-    new_end: Dict[int, float] = {}
-    for span in graph.order:
-        candidates: List[float] = []
-        observed: List[float] = []
-        pred = graph.pe_pred(span.sid)
-        if pred is not None:
-            candidates.append(new_end[pred.sid])
-            observed.append(pred.end)
-        msg = (graph.messages.get(span.trigger)
-               if span.trigger is not None else None)
-        if msg is not None and msg.delivered is not None:
-            shift = delta_s if msg.crossed_wan else 0.0
-            parent = (graph.spans.get(msg.cause)
-                      if msg.cause is not None else None)
-            if parent is not None and parent.end <= msg.delivered:
-                wire = msg.delivered - parent.end
-                candidates.append(new_end[parent.sid]
-                                  + max(0.0, wire + shift))
-            elif msg.sends:
-                # Driver-originated: the send instant does not move.
-                wire = msg.delivered - msg.first_send
-                candidates.append(msg.first_send + max(0.0, wire + shift))
-            else:
-                candidates.append(msg.delivered + max(0.0, shift))
-            observed.append(msg.delivered)
-        if not candidates:
-            candidates.append(span.start)  # true root keeps its epoch
-            observed.append(span.start)
-        # Observed queueing slack beyond the binding blocker (0 in runs
-        # from this scheduler, which dispatches the instant a PE idles)
-        # is preserved, so a zero shift reproduces the trace exactly.
-        slack = max(0.0, span.start - max(observed))
-        t = max(candidates) + slack
-        new_start[span.sid] = t
-        new_end[span.sid] = t + span.duration
-    return new_start
-
-
-def predicted_step_time(graph: CausalGraph,
-                        boundaries: Sequence[float],
-                        delta_s: float,
-                        warmup: int = 1) -> float:
-    """Predicted steady-state seconds/step at a shifted WAN latency.
-
-    Maps each observed step boundary to its terminal span, replays the
-    DAG with the shift, and differences the predicted boundary times the
-    same way :class:`~repro.apps.stencil.driver.StencilResult` does.
-    """
-    terminals = [graph.terminal_span(float(b)) for b in boundaries[1:]]
-    if any(t is None for t in terminals):
-        raise ConfigurationError("boundaries precede every recorded span")
-    new_start = replay_with_latency(graph, delta_s)
-    pred = [new_start[t.sid] for t in terminals]  # type: ignore[union-attr]
-    if len(pred) <= warmup + 1:
-        return pred[-1] / max(len(pred), 1) if pred else 0.0
-    window = pred[warmup:]
-    return (window[-1] - window[0]) / (len(window) - 1)
+    return max(t0, wan_legs * latency + t0 / objects_per_pe)
 
 
 #: Knee tolerance (EXPERIMENTS.md): a sweep's knee is the largest
@@ -703,16 +646,20 @@ def knee_latency(points: Sequence[Tuple[float, float]],
 
 @dataclass
 class KneePrediction:
-    """The knee analyzer's output for one traced configuration."""
+    """The latency-masking model evaluated on a latency grid."""
 
-    #: One-way latency of the traced run, seconds.
+    #: One-way latency of the measured run, seconds.
     observed_latency_s: float
     #: Swept hypothetical one-way latencies, seconds.
     grid_s: List[float]
-    #: Predicted steady-state step time at each grid latency.
+    #: Model step time at each grid latency.
     predicted_step_s: List[float]
     #: Knee tolerance (:data:`KNEE_TOLERANCE` by default).
     tolerance: float
+    #: The model's ``v``: the run's chares per PE.
+    objects_per_pe: float
+    #: The model's ``k``: WAN crossings on a step's critical cycle.
+    wan_legs: int
 
     @property
     def baseline_s(self) -> float:
@@ -732,29 +679,35 @@ class KneePrediction:
             "baseline_step_ms": self.baseline_s * 1e3,
             "tolerance": self.tolerance,
             "predicted_knee_ms": self.knee_s * 1e3,
+            "objects_per_pe": self.objects_per_pe,
+            "wan_legs": self.wan_legs,
         }
 
 
-def predict_knee(graph: CausalGraph, boundaries: Sequence[float],
+def predict_knee(aggregator: TraceAggregator, steps: int,
+                 objects_per_pe: float, wan_legs: int,
                  observed_latency_s: float, grid_s: Sequence[float],
-                 tolerance: float = KNEE_TOLERANCE, warmup: int = 1
-                 ) -> KneePrediction:
-    """Predict the Figure-3 knee from one traced low-latency run.
+                 tolerance: float = KNEE_TOLERANCE) -> KneePrediction:
+    """Predict the knee of a latency sweep from one run of *steps* steps.
 
-    For each hypothetical one-way latency in *grid_s*, replays the DAG
-    with WAN edges shifted by ``L - observed`` and reads off the
-    steady-state step time; the knee is the largest grid latency whose
-    predicted step time stays within *tolerance* of the lowest-latency
-    prediction (the same definition EXPERIMENTS.md applies to measured
-    sweeps).
+    ``T0`` is the busiest PE's busy seconds per step (*aggregator*'s
+    :meth:`~repro.sim.trace.TraceAggregator.pe_usage`): the work that PE
+    does whatever the WAN latency, so a run at any latency gives the
+    same prediction.  Each grid latency's step time is
+    :func:`masked_step_time`; the knee is the largest grid latency whose
+    step time stays within *tolerance* of the lowest-latency one (the
+    rule :func:`knee_latency` applies to measured sweeps).
     """
+    busy = max((u.busy for u in aggregator.pe_usage().values()),
+               default=0.0)
+    t0 = busy / steps
     grid = sorted(float(x) for x in grid_s)
-    preds = [predicted_step_time(graph, boundaries,
-                                 lat - observed_latency_s, warmup=warmup)
+    preds = [masked_step_time(t0, lat, objects_per_pe, wan_legs)
              for lat in grid]
     return KneePrediction(observed_latency_s=observed_latency_s,
                           grid_s=grid, predicted_step_s=preds,
-                          tolerance=tolerance)
+                          tolerance=tolerance, objects_per_pe=objects_per_pe,
+                          wan_legs=wan_legs)
 
 
 def render_attribution(steps: Sequence[StepAttribution],

@@ -20,7 +20,7 @@ The telemetry sampler (:mod:`repro.obs.timeseries`) produces a stream of
     now *visible*, i.e. the Figure-3 knee observed online rather than
     post-hoc (warning).  The default threshold ``1 - 1/KNEE_TOLERANCE``
     is exactly the idle share at which step time reaches 1.5x the
-    compute-bound baseline — the same tolerance the knee analyzer uses;
+    compute-bound baseline — the same tolerance the knee model uses;
   - **wan-saturation** — the busiest WAN lane's windowed busy fraction
     exceeded ``wan_saturation_busy`` while the idle fraction was rising:
     the run is bandwidth-bound, not latency-bound, so adding objects
@@ -116,8 +116,11 @@ class HealthConfig:
     #: (ratios over near-zero means are noise).
     imbalance_min_util: float = 0.05
     #: Unmasking: idle fraction above this means the WAN latency is no
-    #: longer hidden.  ``1 - 1/KNEE_TOLERANCE`` is the idle share at
-    #: which step time reaches the knee's step-time tolerance.
+    #: longer hidden.  In the latency-masking model
+    #: (:func:`~repro.obs.critpath.masked_step_time`) a PE does ``T0``
+    #: of work in a ``T(L)`` step, so its idle share is ``1 - T0/T(L)``;
+    #: at the knee ``T(L) = KNEE_TOLERANCE·T0``, so the share is
+    #: ``1 - 1/KNEE_TOLERANCE``.
     unmasked_idle_threshold: float = 1.0 - 1.0 / KNEE_TOLERANCE
     #: WAN saturation: a wire lane's windowed busy fraction above this
     #: while the idle fraction is rising means the link itself — not the

@@ -14,9 +14,9 @@ trace events and folded online by :class:`repro.sim.trace.ObjectFold`
   their wait cannot hide behind a peer's compute), over-fine ones
   (per-message overhead dominated) and misplaced ones (traffic with one
   partner predominantly WAN), and — given the run shape — recommends a
-  virtualization degree from the paper's masking condition
-  ``C·(1 − 1/v) ≥ L`` (validated against the cached Figure-3 panel in
-  ``tests/integration/test_objview_advisor.py``).
+  virtualization degree from the latency-masking model
+  (:func:`~repro.obs.critpath.masked_step_time`; validated against the
+  cached Figure-3 panel in ``tests/integration/test_objview_advisor.py``).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
+from repro.obs.critpath import masked_step_time
 from repro.sim.trace import (
     CommEdge,
     ObjectFold,
@@ -184,7 +185,7 @@ class Advice:
     suggestions: List[Suggestion]
     #: ``"finer"`` (decompose more), ``"coarser"`` (merge), ``"keep"``.
     direction: str
-    #: Total objects the masking condition asks for (``None`` when the
+    #: Total objects the masking model asks for (``None`` when the
     #: run shape — ``num_pes``/``steps`` — was not provided).
     recommended_objects: Optional[int] = None
     #: Inputs echoed for the report/ledger.
@@ -199,31 +200,44 @@ class Advice:
         }
 
 
-def _recommended_degree(compute_per_pe_step: float, wan_latency_s: float,
-                        overhead_s: float, num_pes: int,
-                        grain_floor_factor: float) -> int:
-    """Total objects from the paper's masking condition.
+#: Advisor thresholds: an object is *over-coarse* when its mean grain
+#: is at least ``COARSE_RATIO ×`` the WAN latency, *over-fine* when it is
+#: at most ``FINE_RATIO ×`` the per-message overhead, and *misplaced*
+#: when at least ``MIGRATE_RATIO`` of its traffic is WAN bytes with a
+#: single partner.  The recommended degree stops where grain would sink
+#: below ``GRAIN_FLOOR_FACTOR ×`` the per-message overhead.
+COARSE_RATIO = 1.0
+FINE_RATIO = 4.0
+MIGRATE_RATIO = 0.5
+GRAIN_FLOOR_FACTOR = 8.0
 
-    With ``v`` objects per PE and per-PE per-step compute ``C``, an
-    object's one-way WAN wait ``L`` hides behind its peers when
-    ``C·(1 − 1/v) ≥ L``; solve for the smallest such ``v``, capped where
-    grain ``C/v`` would sink below ``grain_floor_factor ×`` the
-    per-message overhead (over-fine regime).
+
+def _recommended_degree(compute_per_pe_step: float, wan_latency_s: float,
+                        overhead_s: float, num_pes: int) -> int:
+    """Total objects the latency-masking model asks for.
+
+    Solves :func:`~repro.obs.critpath.masked_step_time` with one WAN leg
+    for the smallest objects per PE ``v`` whose step time stays at the
+    per-PE per-step compute ``C`` (``L + C/v ≤ C``), capped where grain
+    ``C/v`` would sink below ``GRAIN_FLOOR_FACTOR ×`` the per-message
+    overhead (over-fine regime).
     """
     c = compute_per_pe_step
     if c <= 0.0:
         return num_pes
-    g_min = grain_floor_factor * overhead_s
+    g_min = GRAIN_FLOOR_FACTOR * overhead_s
     v_max = max(1, int(c / g_min)) if g_min > 0 else 1 << 30
-    if wan_latency_s <= 0.0:
-        v = 1
-    elif wan_latency_s >= c:
+    if wan_latency_s >= c:
         # Latency exceeds a whole step's compute: no degree fully masks
         # it; ask for the finest grain that is not overhead-bound.
-        v = v_max
-    else:
-        v = math.ceil(1.0 / (1.0 - wan_latency_s / c))
-    return max(1, min(v, v_max)) * num_pes
+        return v_max * num_pes
+    v = max(1, math.ceil(c / (c - wan_latency_s)))
+    # The closed form can land one off the float boundary; settle it.
+    while v > 1 and masked_step_time(c, wan_latency_s, v - 1) <= c:
+        v -= 1
+    while masked_step_time(c, wan_latency_s, v) > c:
+        v += 1
+    return min(v, v_max) * num_pes
 
 
 def recommend_decomposition(
@@ -234,10 +248,6 @@ def recommend_decomposition(
         num_pes: Optional[int] = None,
         steps: Optional[int] = None,
         blame: Optional[Mapping[str, Mapping[str, float]]] = None,
-        coarse_ratio: float = 1.0,
-        fine_ratio: float = 4.0,
-        migrate_ratio: float = 0.5,
-        grain_floor_factor: float = 8.0,
 ) -> Advice:
     """Flag over-coarse / over-fine / misplaced objects, ranked.
 
@@ -254,19 +264,17 @@ def recommend_decomposition(
         Fixed per-message scheduling cost (``RuntimeConfig.scheduler_
         overhead``); the over-fine bound.
     num_pes, steps:
-        Run shape; when both are given the masking condition yields
+        Run shape; when both are given the masking model yields
         :attr:`Advice.recommended_objects`.
     blame:
         Optional per-object critical-path blame (from
         :func:`repro.obs.critpath.per_object_blame`): when present, an
         object's measured exposed WAN wait ranks its split suggestion
         instead of the fold-derived upper bound.
-    coarse_ratio, fine_ratio, migrate_ratio, grain_floor_factor:
-        Heuristic knobs — an object is *over-coarse* when its mean
-        grain is at least ``coarse_ratio × wan_latency_s``; *over-fine*
-        when its mean grain is at most ``fine_ratio × overhead_s``;
-        *misplaced* when at least ``migrate_ratio`` of its traffic is
-        WAN bytes with a single partner.
+
+    The thresholds are the module constants :data:`COARSE_RATIO`,
+    :data:`FINE_RATIO`, :data:`MIGRATE_RATIO` and
+    :data:`GRAIN_FLOOR_FACTOR`.
     """
     fold = _fold_of(source)
     suggestions: List[Suggestion] = []
@@ -290,7 +298,7 @@ def recommend_decomposition(
         grain = p.mean_grain_s
         obj_blame = blame.get(obj) if blame is not None else None
 
-        if wan_latency_s > 0.0 and grain >= coarse_ratio * wan_latency_s:
+        if wan_latency_s > 0.0 and grain >= COARSE_RATIO * wan_latency_s:
             if obj_blame is not None:
                 savings = float(obj_blame.get("wan_wait_s", 0.0))
             else:
@@ -301,18 +309,18 @@ def recommend_decomposition(
                 suggestions.append(Suggestion(
                     obj=obj, action="split",
                     reason=(f"mean grain {grain * 1e3:.3f} ms >= "
-                            f"{coarse_ratio:g}x WAN latency "
+                            f"{COARSE_RATIO:g}x WAN latency "
                             f"{wan_latency_s * 1e3:.3f} ms: too coarse "
                             f"to overlap"),
                     predicted_savings_s=savings))
                 split_savings += savings
-        elif grain <= fine_ratio * overhead_s:
+        elif grain <= FINE_RATIO * overhead_s:
             # Merging pairs halves the per-message scheduling cost.
             savings = overhead_s * p.executions / 2.0
             suggestions.append(Suggestion(
                 obj=obj, action="merge",
                 reason=(f"mean grain {grain * 1e6:.2f} us <= "
-                        f"{fine_ratio:g}x per-message overhead "
+                        f"{FINE_RATIO:g}x per-message overhead "
                         f"{overhead_s * 1e6:.2f} us: overhead dominated"),
                 predicted_savings_s=savings))
             merge_savings += savings
@@ -320,7 +328,7 @@ def recommend_decomposition(
         best = partner_wan.get(obj)
         total = partner_total.get(obj, 0)
         if (best is not None and total > 0
-                and best[1] >= migrate_ratio * total):
+                and best[1] >= MIGRATE_RATIO * total):
             partner, wan_bytes, wan_msgs = best
             suggestions.append(Suggestion(
                 obj=obj, action="migrate",
@@ -337,7 +345,7 @@ def recommend_decomposition(
     if num_pes and steps:
         c_pe = fold.total_compute_s() / (num_pes * steps)
         recommended = _recommended_degree(
-            c_pe, wan_latency_s, overhead_s, num_pes, grain_floor_factor)
+            c_pe, wan_latency_s, overhead_s, num_pes)
 
     current = len(fold.profiles)
     if recommended is not None and current:
@@ -361,7 +369,7 @@ def recommend_decomposition(
         params={
             "wan_latency_s": wan_latency_s,
             "overhead_s": overhead_s,
-            "coarse_ratio": coarse_ratio,
-            "fine_ratio": fine_ratio,
-            "migrate_ratio": migrate_ratio,
+            "coarse_ratio": COARSE_RATIO,
+            "fine_ratio": FINE_RATIO,
+            "migrate_ratio": MIGRATE_RATIO,
         })

@@ -39,7 +39,7 @@ class LatencyMaskingReport:
     #: Optional critical-path section (``repro inspect --view critpath``
     #: fills it): steady-state component shares from
     #: :func:`repro.obs.critpath.summarize_attribution` and, when the
-    #: knee analyzer ran, its :class:`~repro.obs.critpath.KneePrediction`
+    #: knee model ran, its :class:`~repro.obs.critpath.KneePrediction`
     #: digest under ``"knee"``.
     critpath: Optional[Dict[str, object]] = None
     #: Optional health section (``repro inspect --view health`` fills

@@ -1085,6 +1085,14 @@ class TraceAggregator:
             rec((4, src_obj))
         if crossed_wan:
             self.wan_drops += 1
+            if ack_for is not None:
+                # A lost ARQ ack is never re-sent under its own seq (the
+                # receiver acks the retransmitted data afresh), so its
+                # window would stay open for good.  A lost data message
+                # keeps its window for the retransmission.
+                opens = self._wan_open.get(dst_pe)
+                if opens and opens.pop((src_pe, seq), None) is not None:
+                    self.wan.open_windows -= 1
 
     def note_retransmit(self) -> None:
         self.retransmits += 1

@@ -12,12 +12,12 @@ import pytest
 from repro.apps.stencil import run_stencil
 from repro.errors import ConfigurationError
 from repro.grid.presets import artificial_latency_env, lossy_wan_env
+from repro.obs.critpath import KNEE_TOLERANCE
 from repro.units import ms
 
 MESH = (512, 512)
 STEPS = 8
 LATENCIES_MS = [0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0]
-KNEE_TOLERANCE = 1.5
 
 
 def _sweep(objects):

@@ -1,8 +1,8 @@
 """Advisor validation against the cached Figure-3 ground truth.
 
 The decomposition advisor derives its recommended virtualization degree
-from the paper's masking condition ``C·(1 − 1/v) ≥ L`` using only one
-traced run's object statistics.  Ground truth is the measured Fig-3
+from the latency-masking model, the smallest ``v`` with
+``L + C/v ≤ C``, using only one traced run's object statistics.  Ground truth is the measured Fig-3
 8-PE panel: for each swept latency, the degree (of 16/64/256) with the
 lowest measured time per step.  Applied at an over-coarse degree, the
 advisor must point to the measured-best degree **within one grid

@@ -160,6 +160,19 @@ def test_stats_state_does_not_grow_with_run_length():
     assert sizes[0] == sizes[1]
 
 
+def test_lossy_stats_state_does_not_grow_with_run_length():
+    """On a lossy WAN every window closes too: a dropped ack's window
+    goes with the drop, because the ack is never re-sent under its seq."""
+    for steps in (8, 16):
+        env = lossy_wan_env(8, ms(8.0), loss=0.1, seed=0)
+        StencilApp(env, mesh=(512, 512), objects=64,
+                   payload="modeled").run(steps)
+        agg = env.aggregator
+        assert agg.wan_drops > 0 and agg.wan.windows > 0
+        assert not any(agg._wan_open.values())
+        assert agg.wan.open_windows == 0
+
+
 # -- the metrics registry: one pull view in every obs mode -------------------
 
 def test_registry_snapshot_same_in_every_obs_mode():

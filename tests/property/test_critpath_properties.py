@@ -16,9 +16,15 @@ invariant on arbitrary step boundaries.
 Times live on a 1/16 grid, so every duration and subtraction is exact
 in binary floating point and the invariant can be asserted *exactly*
 (residual ``== 0.0``), not approximately.
+
+The latency-masking model closes the module: ``masked_step_time`` is
+flat at ``T0`` up to ``L = T0·(1 − 1/v)/k`` and non-decreasing in
+``L``, and the advisor's recommended degree is the smallest ``v`` that
+masks ``L``.
 """
 
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.network.hops import HopSpan
@@ -26,10 +32,11 @@ from repro.obs.critpath import (
     COMPONENTS,
     WIRE_COMPONENTS,
     CausalGraph,
+    masked_step_time,
     per_step_attribution,
-    replay_with_latency,
     summarize_attribution,
 )
+from repro.obs.objview import _recommended_degree
 from repro.sim.trace import Tracer
 
 COMMON = dict(deadline=None, max_examples=80,
@@ -241,22 +248,40 @@ def test_wire_decomposition_sums_to_wan_flight(run):
                          for k in WIRE_COMPONENTS)) < 1e-9
 
 
-@given(causal_runs())
-@settings(**COMMON)
-def test_zero_shift_replay_reproduces_observed_starts(run):
-    tracer, _boundaries = run
-    graph = CausalGraph.from_tracer(tracer)
-    new_start = replay_with_latency(graph, 0.0)
-    for span in graph.order:
-        assert new_start[span.sid] == span.start
+# -- the latency-masking model ----------------------------------------------
+
+_T0 = st.floats(min_value=1e-6, max_value=10.0)
+_DEGREE = st.integers(min_value=1, max_value=4096)
 
 
-@given(causal_runs())
+@given(_T0, _DEGREE, st.integers(min_value=1, max_value=4),
+       st.lists(st.floats(min_value=0.0, max_value=20.0), min_size=1,
+                max_size=8))
 @settings(**COMMON)
-def test_positive_shift_never_speeds_anything_up(run):
-    tracer, _boundaries = run
-    graph = CausalGraph.from_tracer(tracer)
-    base = replay_with_latency(graph, 0.0)
-    shifted = replay_with_latency(graph, 2.0)
-    for sid in base:
-        assert shifted[sid] >= base[sid]
+def test_masked_step_time_flat_to_the_corner_then_rising(t0, v, k,
+                                                        latencies):
+    lats = sorted(latencies)
+    times = [masked_step_time(t0, lat, v, k) for lat in lats]
+    assert times == sorted(times)          # non-decreasing in L
+    assert min(times) >= t0
+    corner = t0 * (1.0 - 1.0 / v) / k
+    for lat, t in zip(lats, times):
+        if lat <= corner:
+            assert t == pytest.approx(t0, rel=1e-12)
+        elif lat > corner + 1e-9 * t0:
+            assert t > t0
+
+
+@given(_T0, st.floats(min_value=0.0, max_value=0.999),
+       st.integers(min_value=1, max_value=64))
+@example(10.0, 0.9, 1)      # 1/(1 - L/C) rounds up past the exact 10
+@settings(**COMMON)
+def test_recommended_degree_is_the_smallest_masking_degree(c, frac, pes):
+    latency = c * frac
+    # Zero overhead: no grain floor caps the degree.
+    total = _recommended_degree(c, latency, 0.0, pes)
+    v, rest = divmod(total, pes)
+    assert rest == 0 and v >= 1
+    assert masked_step_time(c, latency, v) == c
+    if v > 1:
+        assert masked_step_time(c, latency, v - 1) > c

@@ -1,4 +1,4 @@
-"""Unit tests for the causal graph, backward walk, and knee analyzer.
+"""Unit tests for the causal graph, backward walk, and knee model.
 
 Hand-built two/three-span traces where the critical path is knowable by
 inspection: these pin the *labels* (which component each second lands
@@ -12,10 +12,10 @@ from repro.errors import ConfigurationError
 from repro.obs.critpath import (
     CausalGraph,
     KneePrediction,
+    masked_step_time,
     per_step_attribution,
     predict_knee,
     render_attribution,
-    replay_with_latency,
     summarize_attribution,
 )
 from repro.sim.trace import TraceAggregator, Tracer
@@ -149,40 +149,39 @@ class TestSummaryAndRender:
 
 
 class TestKneeAnalyzer:
-    def test_replay_shifts_only_wan_edges(self):
-        tr, delivered = chain_trace(wan=True, flight=2.0)
-        g = CausalGraph.from_tracer(tr)
-        shifted = replay_with_latency(g, 3.0)
-        assert shifted[0] == 0.0
-        assert shifted[1] == delivered + 3.0
-
-    def test_replay_local_edges_unmoved(self):
-        tr, delivered = chain_trace(wan=False, flight=2.0)
-        g = CausalGraph.from_tracer(tr)
-        shifted = replay_with_latency(g, 3.0)
-        assert shifted[1] == delivered
-
-    def test_negative_shift_clamps_wire_at_zero(self):
-        tr, _ = chain_trace(wan=True, flight=2.0)
-        g = CausalGraph.from_tracer(tr)
-        shifted = replay_with_latency(g, -100.0)
-        assert shifted[1] == 1.0   # parent end; wire cannot go negative
-
     def test_knee_definition(self):
         pred = KneePrediction(
             observed_latency_s=0.0,
             grid_s=[0.0, 0.001, 0.002, 0.004],
             predicted_step_s=[0.010, 0.011, 0.014, 0.020],
-            tolerance=1.5)
+            tolerance=1.5, objects_per_pe=4.0, wan_legs=1)
         assert pred.baseline_s == 0.010
         assert pred.knee_s == 0.002   # 0.014 <= 1.5x, 0.020 > 1.5x
         d = pred.to_dict()
         assert d["predicted_knee_ms"] == pytest.approx(2.0)
+        assert (d["objects_per_pe"], d["wan_legs"]) == (4.0, 1)
+
+    def test_masked_step_time_flat_then_slope_k(self):
+        # T0 = 8, v = 4: flat up to L = T0 (1 - 1/v) / k, then slope k.
+        assert masked_step_time(8.0, 0.0, 4) == 8.0
+        assert masked_step_time(8.0, 6.0, 4) == 8.0
+        assert masked_step_time(8.0, 10.0, 4) == 12.0
+        assert masked_step_time(8.0, 3.0, 4, wan_legs=2) == 8.0
+        assert masked_step_time(8.0, 5.0, 4, wan_legs=2) == 12.0
 
     def test_predict_knee_monotone_grid(self):
-        tr, delivered = chain_trace(wan=True, flight=2.0)
-        g = CausalGraph.from_tracer(tr)
-        knee = predict_knee(g, [0.0, delivered + 1.0], 2.0,
-                            [1.0, 2.0, 4.0], warmup=0)
-        assert knee.grid_s == [1.0, 2.0, 4.0]
-        assert knee.predicted_step_s[0] <= knee.predicted_step_s[-1]
+        # Busiest PE: 12 s busy over 3 steps, so T0 = 4 s.
+        agg = TraceAggregator()
+        agg.begin_execute(0, 0.0, "C", "work")
+        agg.end_execute(0, 12.0)
+        agg.begin_execute(1, 0.0, "C", "work")
+        agg.end_execute(1, 6.0)
+        knee = predict_knee(agg, 3, 2.0, 1, 2.0, [4.0, 0.0, 1.0, 2.0])
+        assert knee.grid_s == [0.0, 1.0, 2.0, 4.0]
+        # T(L) = max(4, L + 2): flat to L = 2, then slope 1.
+        assert knee.predicted_step_s == [4.0, 4.0, 4.0, 6.0]
+        assert knee.knee_s == 4.0   # 6 <= 1.5 x 4
+        assert knee.observed_latency_s == 2.0
+        steep = predict_knee(agg, 3, 2.0, 2, 2.0, [0.0, 1.0, 2.0, 4.0])
+        assert steep.predicted_step_s == [4.0, 4.0, 6.0, 10.0]
+        assert steep.knee_s == 2.0

@@ -267,6 +267,20 @@ def test_aggregator_dropped_window_stays_open():
     assert (agg.drops, agg.wan_drops) == (1, 1)
 
 
+def test_aggregator_dropped_ack_closes_its_window():
+    """A lost ARQ ack is never re-sent under its own seq, so its window
+    goes with the drop; the data window beside it stays open."""
+    agg = TraceAggregator()
+    agg.message_sent(0.0, 0, 1, 100, "m", True, seq=1)
+    agg.message_sent(1.0, 1, 0, 16, "ack:1", True, seq=2, ack_for=1)
+    agg.message_dropped(1.0, 1, 0, 16, "ack:1", True, seq=2, ack_for=1)
+    assert agg.wan.open_windows == 1
+    assert agg._wan_open[0] == {}
+    assert list(agg._wan_open[1]) == [(0, 1)]
+    assert agg.wan.windows == 0
+    assert (agg.drops, agg.wan_drops) == (1, 1)
+
+
 def test_aggregator_summary_shape():
     agg = TraceAggregator()
     agg.begin_execute(0, 0.0, "C", "a")
